@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.addrspace import space_of
 
-__all__ = ["AddressSet"]
+__all__ = ["AddressSet", "sorted_unique"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -30,6 +30,20 @@ def _coerce(values) -> np.ndarray:
     if arr.dtype.kind == "S":
         return space_of(arr).asarray(arr)
     return np.asarray(values, dtype=np.int64)
+
+
+def sorted_unique(values) -> np.ndarray:
+    """``values`` as a sorted, duplicate-free 1-D array.
+
+    An input that already is one (strictly increasing) is returned
+    as-is after a single comparison pass, so trusted arrays such as an
+    :class:`AddressSet`'s values skip the ``np.unique`` re-sort while
+    unsorted or duplicated input is still normalised.
+    """
+    arr = _coerce(values)
+    if arr.ndim == 1 and (arr.size < 2 or bool((arr[1:] > arr[:-1]).all())):
+        return arr
+    return np.unique(arr)
 
 
 def _as_sorted_unique(values) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.census.addrset import AddressSet
+from repro.census.addrset import AddressSet, sorted_unique
 from repro.env import scan_executor, scan_shards
 from repro.scan.engine import EngineConfig, ScanResult
 from repro.scan.executors import executor_supports_wrap, get_executor
@@ -94,9 +94,11 @@ class IntervalTargets:
 
     The covered space is flattened into ``[0, total)`` coordinates, one
     :class:`CyclicPermutation` walks it, and this object drains the
-    ``shard``-th of ``shards`` strided sub-walks, mapping each batch
-    back to real addresses with one ``searchsorted``.  The whole state
-    is a handful of plain values, so shards pickle cheaply and
+    ``shard``-th of ``shards`` strided sub-walks (:meth:`walk`).
+    :meth:`batches` maps each batch back to real addresses with one
+    ``searchsorted``; the scan engine skips that map for v4 shards and
+    counts in flat coordinates against :meth:`flat_layout`.  The whole
+    state is a handful of plain values, so shards pickle cheaply and
     regenerate their probe order inside worker processes.
 
     **v6 mode** (S16 interval bounds): exhaustive enumeration of 2^96
@@ -159,11 +161,15 @@ class IntervalTargets:
 
         if hitlist is None:
             hitlist = V6.empty()
-        hitlist = np.unique(V6.asarray(hitlist))
+        # Usually an AddressSet's values, already sorted and unique:
+        # checked in one pass instead of re-sorted per shard.
+        hitlist = sorted_unique(V6.asarray(hitlist))
         if len(self.starts):
             hitlist = hitlist[
                 interval_membership(self.starts, self.ends, hitlist)
             ]
+        else:
+            hitlist = hitlist.copy()  # never freeze the caller's array
         hitlist.setflags(write=False)
         self.hitlist = hitlist
         self.samples = int(samples) if samples is not None else 0
@@ -196,22 +202,42 @@ class IntervalTargets:
         """Flat-space size: covered addresses (v4) or probe budget (v6)."""
         return int(self._offsets[-1])
 
+    def flat_layout(self):
+        """``(starts, ends, offsets)`` of the v4 flat space, else None.
+
+        Flat coordinate ``offsets[i] + k`` is address ``starts[i] + k``
+        for ``0 <= k < ends[i] - starts[i]``.  A v6 shard has no such
+        layout: its flat space is a probe budget, not an address range.
+        """
+        if self._v6 is not None:
+            return None
+        return self.starts, self.ends, self._offsets
+
+    def walk(self):
+        """This shard's sub-walk of ``[0, address_count())``, or None
+        when the flat space is empty."""
+        total = self.address_count()
+        if total == 0:
+            return None
+        return CyclicPermutation(total, seed=self.seed).shard(
+            self.shard, self.shards
+        )
+
     def batches(self, batch_size: int = 1 << 16):
         """Yield permuted address batches for this shard.
 
-        Each batch is sorted before the flat-coordinate -> address
-        mapping: probe order within a batch is irrelevant to every
-        consumer (the engine only counts), sorting makes the mapping
-        ``searchsorted`` branch-predictable, and the engine's own
-        sorted fast path then kicks in for free.  Which addresses each
-        batch carries — and thus every merged result — is unchanged.
+        Each batch of walk coordinates is sorted before the flat ->
+        address mapping, which makes the mapping ``searchsorted``
+        branch-predictable; probe order within a batch is irrelevant
+        to every consumer, so which addresses each batch carries — and
+        thus every merged result — is unchanged.  The scan engine does
+        not call this for a v4 shard: it counts the walk in flat
+        coordinates instead (see :mod:`repro.scan.engine`).  Paced
+        wrappers, the v6 family and direct callers still map here.
         """
-        total = self.address_count()
-        if total == 0:
+        walk = self.walk()
+        if walk is None:
             return
-        walk = CyclicPermutation(total, seed=self.seed).shard(
-            self.shard, self.shards
-        )
         if self._v6 is not None:
             yield from self._batches_v6(walk, batch_size)
             return

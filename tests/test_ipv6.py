@@ -476,6 +476,19 @@ class TestV6IntervalTargets:
         clone = pickle.loads(pickle.dumps(targets))
         assert _drain([targets]) == _drain([clone])
 
+    def test_unsorted_duplicated_hitlist_is_normalised(self):
+        _, starts, ends, hitlist = _v6_case()
+        messy = np.concatenate([hitlist[::-1], hitlist[:2]])
+        clean = IntervalTargets((starts, ends), seed=5, hitlist=hitlist)
+        for raw in (messy, pickle.loads(pickle.dumps(messy))):
+            targets = IntervalTargets((starts, ends), seed=5, hitlist=raw)
+            assert targets.hitlist.tolist() == clean.hitlist.tolist()
+            assert _drain([targets]) == _drain([clean])
+        # Sorted input skips the re-sort but is never frozen in place.
+        mine = hitlist.copy()
+        IntervalTargets((starts[:0], ends[:0]), hitlist=mine)
+        assert mine.flags.writeable
+
     def test_v4_rejects_seeding(self):
         starts = np.array([0], dtype=np.int64)
         ends = np.array([64], dtype=np.int64)
