@@ -21,7 +21,7 @@ def counting_task(dataset):
     return partition, snapshot.addresses.values
 
 
-@pytest.mark.parametrize("backend", ["searchsorted", "bitmap"])
+@pytest.mark.parametrize("backend", ["searchsorted"])
 def test_backend_vectorized(benchmark, counting_task, backend):
     partition, values = counting_task
     counts = benchmark(

@@ -21,13 +21,12 @@ echo "== plan (interrupted arm)"
 python -m repro.orchestrator plan --dir "$WORK/interrupted" "${SPEC[@]}"
 
 echo "== run + SIGTERM mid-wave (worker failure injected on shard 1)"
-# The per-shard delay stretches each wave to a couple of seconds so the
-# SIGTERM reliably lands mid-campaign; the injected failure makes the
-# first worker assigned shard 1 die and the shard requeue.  Neither
-# knob changes any result.
+# The fault plan makes the first worker assigned shard 1 die and the
+# shard requeue, and stalls every shard attempt 0.5 s so each wave
+# stretches to a couple of seconds and the SIGTERM reliably lands
+# mid-campaign.  Neither fault changes any result.
 REPRO_DIST_WORKERS=2 \
-REPRO_DIST_SHARD_DELAY=0.5 \
-REPRO_DIST_FAIL_SHARDS=1 \
+REPRO_FAULT_PLAN="crash@1,stall@*:attempts=*:delay=0.5" \
 python -m repro.orchestrator run --dir "$WORK/interrupted" &
 PID=$!
 # Kill only after the first durable checkpoint exists (a fixed sleep

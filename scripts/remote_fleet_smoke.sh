@@ -94,18 +94,14 @@ diff "$WORK/badsecret.json" "$WORK/reference.json" \
     || { echo "a wrong-secret remote perturbed the campaign" >&2; exit 1; }
 
 echo "== arm 4: SIGKILL the coordinator, resume over the address book"
-# Dedicated slow remotes (shard delay in *their* env) keep the kill
-# window wide; the fleet is remote-only so killing the run process
+# A 1 s stall on every shard attempt keeps the kill window wide (the
+# run takes ~4 s); the fleet is remote-only so killing the run process
 # kills the coordinator but none of the workers.
-PORT_S1=$(start_worker worker-s1 \
-    REPRO_DIST_SECRET="$SECRET" REPRO_DIST_SHARD_DELAY=0.4)
-PORT_S2=$(start_worker worker-s2 \
-    REPRO_DIST_SECRET="$SECRET" REPRO_DIST_SHARD_DELAY=0.4)
-SLOW_BOOK="127.0.0.1:$PORT_S1,127.0.0.1:$PORT_S2"
 python -m repro.orchestrator plan --dir "$WORK/killed" "${SPEC[@]}" \
     > /dev/null
 env REPRO_DIST_WORKERS=2 REPRO_DIST_SECRET="$SECRET" \
-    REPRO_DIST_ADDRESS_BOOK="$SLOW_BOOK" \
+    REPRO_DIST_ADDRESS_BOOK="$BOOK" \
+    REPRO_FAULT_PLAN="stall@*:attempts=*:delay=1" \
     python -m repro.orchestrator run --dir "$WORK/killed" &
 PID=$!
 for _ in $(seq 1 120); do
@@ -123,7 +119,7 @@ set -e
 echo "   SIGKILLed coordinator exited with $RC"
 
 env REPRO_DIST_WORKERS=2 REPRO_DIST_SECRET="$SECRET" \
-    REPRO_DIST_ADDRESS_BOOK="$SLOW_BOOK" \
+    REPRO_DIST_ADDRESS_BOOK="$BOOK" \
     python -m repro.orchestrator resume --dir "$WORK/killed" > /dev/null
 python -m repro.orchestrator status --dir "$WORK/killed" --json \
     > "$WORK/killed.json"

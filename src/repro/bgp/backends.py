@@ -9,11 +9,6 @@ instead of a hard-wired call:
 - ``searchsorted`` — the production two-``searchsorted`` pass
   (:func:`repro.bgp.table.count_in_intervals`); O((n+m) log) and the
   default everywhere.
-- ``bitmap``       — a packed NumPy bitmap over the *compacted*
-  interval coordinate space: each covered address maps to one bit, and
-  per-interval occupancy is a popcount over the interval's bit slice.
-  Memory is one bit per covered address, independent of where the
-  intervals sit in the 2^32 space.
 - ``trie``         — the pure-Python binary radix trie
   (:mod:`repro.core.density`), one longest-prefix-match walk per
   address.  Orders of magnitude slower; kept as the correctness oracle
@@ -37,13 +32,13 @@ contract: ``values`` sorted and duplicate-free.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.bgp.table import count_in_intervals as _searchsorted_count
+from repro.env import ENV_COUNT_BACKEND, KNOBS, count_backend
 
 __all__ = [
     "ENV_VAR",
@@ -58,9 +53,9 @@ __all__ = [
 ]
 
 #: Environment variable that selects the process-wide default backend.
-ENV_VAR = "REPRO_COUNT_BACKEND"
+ENV_VAR = ENV_COUNT_BACKEND
 
-DEFAULT_BACKEND = "searchsorted"
+DEFAULT_BACKEND = KNOBS[ENV_COUNT_BACKEND].default
 
 _REGISTRY: dict[str, object] = {}
 
@@ -80,9 +75,8 @@ def available_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def resolve_backend_name(name: str | None = None) -> str:
-    """The backend name an explicit/env/default resolution lands on."""
-    return name or os.environ.get(ENV_VAR) or DEFAULT_BACKEND
+#: The validated backend name an explicit/env/default resolution lands on.
+resolve_backend_name = count_backend
 
 
 def get_backend(name=None):
@@ -94,14 +88,7 @@ def get_backend(name=None):
     """
     if callable(name):
         return name
-    resolved = resolve_backend_name(name)
-    try:
-        return _REGISTRY[resolved]
-    except KeyError:
-        raise ValueError(
-            f"unknown counting backend {resolved!r}; "
-            f"available: {available_backends()}"
-        ) from None
+    return _REGISTRY[resolve_backend_name(name)]
 
 
 def count_with_backend(starts, ends, values, backend=None) -> np.ndarray:
@@ -228,86 +215,6 @@ COUNT_CACHE = CountCache()
 # ---------------------------------------------------------------------------
 
 register_backend("searchsorted")(_searchsorted_count)
-
-
-# ---------------------------------------------------------------------------
-# bitmap — packed occupancy bits over the compacted covered space
-# ---------------------------------------------------------------------------
-
-#: Per-byte popcount lookup table.
-_POPCOUNT = np.array(
-    [bin(b).count("1") for b in range(256)], dtype=np.int64
-)
-
-
-def _bit_rank(cum_bytes, bitmap, bits):
-    """Set bits in ``[0, bit)`` of the little-endian packed bitmap."""
-    byte = bits >> 3
-    rank = cum_bytes[byte]
-    rem = bits & 7
-    partial = bitmap[np.minimum(byte, len(bitmap) - 1)] & (
-        (1 << rem) - 1
-    ).astype(np.uint8)
-    return rank + _POPCOUNT[partial]
-
-
-@register_backend("bitmap")
-def count_bitmap(starts, ends, values) -> np.ndarray:
-    """Bitmap counting: mark each covered address, popcount per slice.
-
-    Addresses are first mapped into the *compacted* coordinate space of
-    the interval set (interval i occupies bits
-    ``[offset_i, offset_i + size_i)``), so the bitmap costs one bit per
-    covered address no matter how sparse the intervals are in the full
-    2^32 space.  Counting an interval is then a vectorized popcount of
-    its bit slice via a byte-level cumulative sum.
-    """
-    if np.asarray(starts).dtype.kind == "S":
-        # v6 intervals cover up to 2^96 addresses — a one-bit-per-address
-        # bitmap is unbuildable.  Count by covering-interval index +
-        # bincount instead: same contract, one bucket per interval.
-        starts = np.asarray(starts)
-        ends = np.asarray(ends)
-        values = np.asarray(values)
-        if len(starts) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if values.size == 0:
-            return np.zeros(len(starts), dtype=np.int64)
-        idx = np.searchsorted(starts, values, side="right") - 1
-        safe = idx.clip(0)
-        inside = (idx >= 0) & (values < ends[safe])
-        return np.bincount(
-            safe[inside], minlength=len(starts)
-        ).astype(np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    if len(starts) == 0:
-        return np.zeros(0, dtype=np.int64)
-    sizes = ends - starts
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sizes)]
-    )
-    total_bits = int(offsets[-1])
-    if total_bits == 0:
-        return np.zeros(len(starts), dtype=np.int64)
-    bitmap = np.zeros((total_bits + 7) >> 3, dtype=np.uint8)
-    if values.size and total_bits:
-        idx = np.searchsorted(starts, values, side="right") - 1
-        safe = idx.clip(0)
-        inside = (idx >= 0) & (values < ends[safe])
-        hit = safe[inside]
-        pos = offsets[hit] + (values[inside] - starts[hit])
-        np.bitwise_or.at(
-            bitmap, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8)
-        )
-    # cum_bytes[k] = set bits in bytes [0, k); one extra slot so a bit
-    # offset landing exactly on the bitmap end indexes cleanly.
-    cum_bytes = np.zeros(len(bitmap) + 1, dtype=np.int64)
-    np.cumsum(_POPCOUNT[bitmap], out=cum_bytes[1:])
-    return _bit_rank(cum_bytes, bitmap, offsets[1:]) - _bit_rank(
-        cum_bytes, bitmap, offsets[:-1]
-    )
 
 
 # ---------------------------------------------------------------------------

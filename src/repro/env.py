@@ -1,61 +1,35 @@
-"""Validated environment knobs shared by the scan layer and orchestrator.
+"""The knob table: every ``REPRO_*`` environment variable the package reads.
 
-Every process-wide tuning knob the package reads from the environment is
-parsed here, with one resolution rule everywhere: an explicit argument
-wins, then the environment variable, then the built-in default — and a
-bad value raises a :class:`ValueError` naming the knob, the offending
-value, and the accepted choices, instead of a silent fallback or a
-cryptic failure deep inside a hot loop.
+Each :class:`Knob` row names its variable, the label its errors use, a
+parser, a default and a one-line doc.  One resolution rule holds for
+every row (:func:`resolve`): an explicit argument wins, then the
+environment variable, then the default — and a bad value raises a
+:class:`ValueError` naming the knob's label, the offending value and
+where it came from (``argument``, the variable, or ``default``),
+instead of a silent fallback or a cryptic failure deep inside a hot
+loop.  A ``None`` default means "unset" and resolves to ``None``
+unparsed.
 
-Knobs:
-
-- ``REPRO_SCAN_SHARDS``   — positive shard count for sharded scans;
-- ``REPRO_SCAN_EXECUTOR`` — an executor registered in
-  :mod:`repro.scan.executors` (``serial``, ``process``,
-  ``distributed``, or anything registered on top);
-- ``REPRO_COUNT_BACKEND`` — a counting backend registered in
-  :mod:`repro.bgp.backends`;
-- ``REPRO_DIST_WORKERS``  — worker-process count for the
-  ``distributed`` executor (default: one per shard, CPU-capped);
-- ``REPRO_FAULT_PLAN``    — declarative chaos plan for the distributed
-  executor (:mod:`repro.scan.faults` syntax, e.g. ``crash@2,hang@0``);
-- ``REPRO_DIST_SHARD_DEADLINE`` — per-shard attempt deadline in seconds
-  before speculative re-dispatch (default 30; ``0`` disables);
-- ``REPRO_DIST_RESPAWN_BASE``   — base of the exponential respawn
-  backoff in seconds (default 0.05; ``0`` disables the backoff);
-- ``REPRO_DIST_CRASH_LOOP``     — consecutive spawn-side failures that
-  declare a crash loop and degrade the fleet (default 3);
-- ``REPRO_DIST_ADDRESS_BOOK``   — comma-separated ``host:port`` entries
-  of pre-started remote workers (``python -m repro.scan.distributed
-  --listen host:port``) the coordinator dials out to; spawned and
-  remote workers mix in one fleet (default: empty — spawn-only);
-- ``REPRO_DIST_SECRET``         — shared HMAC-SHA256 key for the
-  worker handshake; when set, both sides must prove knowledge of it
-  before any work is exchanged (default: unset — no authentication);
-- ``REPRO_OBS``                 — the observability plane
-  (:mod:`repro.obs`): ``off`` (default — no events, no metrics),
-  ``events`` (append structured trace events to ``events.jsonl``),
-  or ``full`` (events plus the metrics registry and ``metrics.json``).
-  Observability is wall-clock-side only: campaign state, merged
-  results, and resume byte-identity are unchanged at every setting;
-- ``REPRO_CKPT_KEEP``           — checkpoint generations the store
-  retains (default 2); older generations are pruned after each save,
-  newer ones are the rollback targets when the latest fails
-  verification at resume;
-- ``REPRO_FS_FAULT_PLAN``       — declarative storage chaos plan for
-  the checkpoint store (:mod:`repro.orchestrator.storage_faults`
-  syntax, e.g. ``torn_write@save-2,bitrot@gen-3``);
-- ``REPRO_ADDR_FAMILY``         — the address family campaigns run in:
-  ``v4`` (default — today's exhaustive int64 pipeline) or ``v6``
-  (128-bit addresses, hitlist/prefix-seeded targeting; see
-  :mod:`repro.core.addrspace`).
+The accessors (:func:`scan_shards`, :func:`ckpt_keep`, ...) are
+one-line lookups into the table; ``README.md``'s "Environment knobs"
+section lists the same rows for operators.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 __all__ = [
+    "Knob",
+    "KNOBS",
+    "resolve",
+    "OBS_MODES",
+    "ADDR_FAMILIES",
+    "EXECUTORS",
     "ENV_SCAN_SHARDS",
     "ENV_SCAN_EXECUTOR",
     "ENV_COUNT_BACKEND",
@@ -70,9 +44,7 @@ __all__ = [
     "ENV_CKPT_KEEP",
     "ENV_FS_FAULT_PLAN",
     "ENV_ADDR_FAMILY",
-    "OBS_MODES",
-    "ADDR_FAMILIES",
-    "EXECUTORS",
+    "ENV_DATA_DIR",
     "scan_shards",
     "scan_executor",
     "count_backend",
@@ -87,6 +59,7 @@ __all__ = [
     "ckpt_keep",
     "fs_fault_plan",
     "addr_family",
+    "data_dir",
 ]
 
 ENV_SCAN_SHARDS = "REPRO_SCAN_SHARDS"
@@ -103,6 +76,7 @@ ENV_OBS = "REPRO_OBS"
 ENV_CKPT_KEEP = "REPRO_CKPT_KEEP"
 ENV_FS_FAULT_PLAN = "REPRO_FS_FAULT_PLAN"
 ENV_ADDR_FAMILY = "REPRO_ADDR_FAMILY"
+ENV_DATA_DIR = "REPRO_DATA_DIR"
 
 #: The observability modes, least to most recorded.
 OBS_MODES = ("off", "events", "full")
@@ -119,6 +93,14 @@ def _executor_choices() -> tuple[str, ...]:
     return tuple(available_executors())
 
 
+def _backend_choices() -> tuple[str, ...]:
+    # Imported lazily: the backend registry pulls in numpy machinery
+    # this module doesn't otherwise need.
+    from repro.bgp.backends import available_backends
+
+    return tuple(available_backends())
+
+
 def __getattr__(name: str):
     # ``EXECUTORS`` is registry-backed: reading it always reflects the
     # live executor registry (including anything registered at runtime)
@@ -128,154 +110,75 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _resolve(explicit, env_var, default):
-    """explicit argument > environment variable > default."""
-    if explicit is not None:
-        return explicit, "argument"
-    raw = os.environ.get(env_var)
-    if raw is not None:
-        return raw, env_var
-    return default, "default"
+# ---------------------------------------------------------------------------
+# Shared parsers: ``parse(raw, source, label) -> value``
+# ---------------------------------------------------------------------------
 
 
-def scan_shards(explicit=None) -> int:
-    """The validated scan shard count (>= 1).
-
-    ``explicit`` wins over ``$REPRO_SCAN_SHARDS`` over the default of 1.
-    Non-integer or non-positive values raise a :class:`ValueError` that
-    names the source of the bad value.
-    """
-    raw, source = _resolve(explicit, ENV_SCAN_SHARDS, 1)
+def _positive_int(raw, source, label) -> int:
     try:
         # Round-trip through str so 2.5 (or True) is rejected rather
         # than silently truncated by int().
         value = int(str(raw).strip())
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(
-            f"scan shards must be a positive integer, got {raw!r} "
+            f"{label} must be a positive integer, got {raw!r} "
             f"(from {source})"
         ) from None
     if value < 1:
-        raise ValueError(
-            f"scan shards must be >= 1, got {value} (from {source})"
-        )
+        raise ValueError(f"{label} must be >= 1, got {value} (from {source})")
     return value
 
 
-def scan_executor(explicit=None) -> str:
-    """The validated scan executor name, against the live registry."""
-    raw, source = _resolve(explicit, ENV_SCAN_EXECUTOR, "serial")
-    executors = _executor_choices()
-    if raw not in executors:
-        choices = ", ".join(repr(e) for e in executors)
-        raise ValueError(
-            f"unknown executor {raw!r} (from {source}); "
-            f"choose one of {choices}"
-        )
-    return raw
-
-
-def dist_workers(explicit=None) -> int | None:
-    """The validated distributed worker count, or ``None`` for auto.
-
-    ``explicit`` wins over ``$REPRO_DIST_WORKERS``; with neither set
-    the distributed executor sizes itself (one worker per shard,
-    capped at the CPU count).
-    """
-    raw, source = _resolve(explicit, ENV_DIST_WORKERS, None)
-    if raw is None:
-        return None
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"distributed workers must be a positive integer, got "
-            f"{raw!r} (from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"distributed workers must be >= 1, got {value} "
-            f"(from {source})"
-        )
-    return value
-
-
-def fault_plan(explicit=None):
-    """The validated chaos :class:`~repro.scan.faults.FaultPlan`.
-
-    ``explicit`` may be a plan string or an existing ``FaultPlan``;
-    otherwise ``$REPRO_FAULT_PLAN`` is parsed; with neither, the empty
-    plan (no injected faults).  Syntax errors raise :class:`ValueError`
-    naming the source.
-    """
-    # Imported lazily: the fault plane lives in the scan layer, which
-    # imports this module for the other knobs.
-    from repro.scan.faults import FaultPlan
-
-    if isinstance(explicit, FaultPlan):
-        return explicit
-    raw, source = _resolve(explicit, ENV_FAULT_PLAN, None)
-    try:
-        return FaultPlan.parse(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad fault plan (from {source}): {exc}") from None
-
-
-def _positive_float(raw, source, knob, *, zero_ok=False):
+def _seconds_or_off(raw, source, label) -> float | None:
+    """A non-negative float; ``0`` switches the feature off (``None``)."""
     try:
         value = float(str(raw).strip())
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(
-            f"{knob} must be a number, got {raw!r} (from {source})"
+            f"{label} must be a number, got {raw!r} (from {source})"
         ) from None
-    if value < 0 or (value == 0 and not zero_ok):
-        raise ValueError(
-            f"{knob} must be {'>= 0' if zero_ok else '> 0'}, got "
-            f"{value} (from {source})"
-        )
-    return value
-
-
-def dist_shard_deadline(explicit=None) -> float | None:
-    """Per-shard attempt deadline in seconds, or ``None`` when disabled.
-
-    ``explicit`` wins over ``$REPRO_DIST_SHARD_DEADLINE`` over the
-    default of 30 s.  A shard held past its deadline is speculatively
-    re-dispatched to an idle worker; ``0`` disables the deadline (only
-    the coordinator's global no-progress timeout then applies).
-    """
-    raw, source = _resolve(explicit, ENV_DIST_SHARD_DEADLINE, 30.0)
-    value = _positive_float(
-        raw, source, "shard deadline", zero_ok=True
-    )
+    if not value >= 0:
+        raise ValueError(f"{label} must be >= 0, got {value} (from {source})")
     return value or None
 
 
-def dist_respawn_base(explicit=None) -> float:
-    """Base (seconds) of the exponential worker-respawn backoff."""
-    raw, source = _resolve(explicit, ENV_DIST_RESPAWN_BASE, 0.05)
-    return _positive_float(raw, source, "respawn base", zero_ok=True)
+def _choice(choices):
+    """One of ``choices`` (a tuple, or a callable reading a live registry)."""
+
+    def parse(raw, source, label) -> str:
+        allowed = choices() if callable(choices) else choices
+        value = str(raw).strip().lower()
+        if value not in allowed:
+            raise ValueError(
+                f"unknown {label} {raw!r} (from {source}); choose one of "
+                + ", ".join(repr(c) for c in allowed)
+            )
+        return value
+
+    return parse
 
 
-def dist_crash_loop_threshold(explicit=None) -> int:
-    """Consecutive spawn-side failures that declare a crash loop."""
-    raw, source = _resolve(explicit, ENV_DIST_CRASH_LOOP, 3)
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"crash-loop threshold must be a positive integer, got "
-            f"{raw!r} (from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"crash-loop threshold must be >= 1, got {value} "
-            f"(from {source})"
-        )
-    return value
+def _plan(module: str, name: str):
+    """A fault plan (``kind@site[:key=val]`` entries) of class ``name``.
+
+    The class is imported lazily: both fault planes import this module
+    for their own knobs.  An instance of the class passes through.
+    """
+
+    def parse(raw, source, label):
+        plan_cls = getattr(importlib.import_module(module), name)
+        if isinstance(raw, plan_cls):
+            return raw
+        try:
+            return plan_cls.parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad {label} (from {source}): {exc}") from None
+
+    return parse
 
 
-def _parse_book_entry(entry, source) -> tuple[str, int]:
+def _book_entry(entry, source) -> tuple[str, int]:
     if (
         isinstance(entry, tuple)
         and len(entry) == 2
@@ -293,12 +196,11 @@ def _parse_book_entry(entry, source) -> tuple[str, int]:
             )
     if not host:
         raise ValueError(
-            f"address book entry {text!r} has an empty host "
-            f"(from {source})"
+            f"address book entry {text!r} has an empty host (from {source})"
         )
     try:
         port_value = int(str(port).strip())
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(
             f"address book entry {text!r} has a non-integer port "
             f"(from {source})"
@@ -311,153 +213,130 @@ def _parse_book_entry(entry, source) -> tuple[str, int]:
     return host, port_value
 
 
-def dist_address_book(explicit=None) -> tuple[tuple[str, int], ...]:
-    """The validated remote-worker address book as ``(host, port)`` pairs.
+def _address_book(raw, source, label) -> tuple[tuple[str, int], ...]:
+    """``host:port,...`` or a sequence of strings / ``(host, port)`` pairs.
 
-    ``explicit`` may be a ``"host:port,host:port"`` string or a sequence
-    of entries (strings or ``(host, port)`` tuples); otherwise
-    ``$REPRO_DIST_ADDRESS_BOOK`` is parsed; with neither, the empty book
-    (the distributed executor spawns local workers only).  Malformed or
-    duplicate entries raise a :class:`ValueError` naming the source —
-    a duplicate would dial the same worker twice and deadlock its
-    one-session-at-a-time accept loop.
+    Duplicates are rejected: they would dial the same worker twice and
+    deadlock its one-session-at-a-time accept loop.
     """
-    raw, source = _resolve(explicit, ENV_DIST_ADDRESS_BOOK, None)
-    if raw is None:
-        return ()
     if isinstance(raw, (list, tuple)):
         entries = list(raw)
     else:
         entries = [e for e in str(raw).split(",") if e.strip()]
-    book = tuple(_parse_book_entry(entry, source) for entry in entries)
+    book = tuple(_book_entry(entry, source) for entry in entries)
     if len(set(book)) != len(book):
         raise ValueError(
-            f"address book has duplicate entries (from {source}): "
+            f"{label} has duplicate entries (from {source}): "
             + ",".join(f"{h}:{p}" for h, p in book)
         )
     return book
 
 
-def dist_secret(explicit=None) -> str | None:
-    """The shared handshake secret, or ``None`` when auth is disabled.
-
-    ``explicit`` wins over ``$REPRO_DIST_SECRET``.  A set-but-blank
-    secret raises — it would silently authenticate everyone.
-    """
-    raw, source = _resolve(explicit, ENV_DIST_SECRET, None)
-    if raw is None:
-        return None
-    secret = str(raw)
-    if not secret.strip():
+def _secret(raw, source, label) -> str:
+    # A set-but-blank secret would silently authenticate everyone.
+    if not str(raw).strip():
         raise ValueError(
-            f"distributed secret must be a non-empty string "
-            f"(from {source})"
+            f"{label} must be a non-empty string (from {source})"
         )
-    return secret
+    return str(raw)
 
 
-def obs_mode(explicit=None) -> str:
-    """The validated observability mode: ``off``/``events``/``full``.
+def _path(raw, source, label) -> Path:
+    return Path(raw)
 
-    ``explicit`` wins over ``$REPRO_OBS`` over the default ``off``.
-    The mode only gates what gets *recorded* — nothing the campaign
-    computes or checkpoints depends on it.
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One row of the knob table."""
+
+    env: str
+    label: str
+    parse: Callable
+    default: object
+    doc: str
+
+
+KNOBS: dict[str, Knob] = {knob.env: knob for knob in (
+    Knob(ENV_SCAN_SHARDS, "scan shards", _positive_int, 1,
+         "shard count of a sharded scan"),
+    Knob(ENV_SCAN_EXECUTOR, "executor", _choice(_executor_choices),
+         "serial", "executor registered in repro.scan.executors"),
+    Knob(ENV_COUNT_BACKEND, "counting backend", _choice(_backend_choices),
+         "searchsorted", "counting backend registered in "
+         "repro.bgp.backends"),
+    Knob(ENV_DIST_WORKERS, "distributed workers", _positive_int, None,
+         "distributed fleet size (unset: one per shard, CPU-capped)"),
+    Knob(ENV_FAULT_PLAN, "fault plan",
+         _plan("repro.scan.faults", "FaultPlan"), "",
+         "scan-plane chaos plan (repro.scan.faults syntax)"),
+    Knob(ENV_DIST_SHARD_DEADLINE, "shard deadline", _seconds_or_off, 30.0,
+         "seconds one attempt may hold a shard before speculative "
+         "re-dispatch (0: off)"),
+    Knob(ENV_DIST_RESPAWN_BASE, "respawn base", _seconds_or_off, 0.05,
+         "base seconds of the exponential respawn backoff (0: off)"),
+    Knob(ENV_DIST_CRASH_LOOP, "crash-loop threshold", _positive_int, 3,
+         "consecutive spawn failures that degrade the fleet"),
+    Knob(ENV_DIST_ADDRESS_BOOK, "address book", _address_book, "",
+         "host:port,... of pre-started --listen workers to dial"),
+    Knob(ENV_DIST_SECRET, "distributed secret", _secret, None,
+         "shared HMAC key for the worker handshake (unset: no auth)"),
+    Knob(ENV_OBS, "observability mode", _choice(OBS_MODES), "off",
+         "off, events (events.jsonl) or full (events plus metrics.json)"),
+    Knob(ENV_CKPT_KEEP, "checkpoint keep window", _positive_int, 2,
+         "checkpoint generations the store retains"),
+    Knob(ENV_FS_FAULT_PLAN, "storage fault plan",
+         _plan("repro.orchestrator.storage_faults", "FsFaultPlan"), "",
+         "storage-plane chaos plan (repro.orchestrator.storage_faults "
+         "syntax)"),
+    Knob(ENV_ADDR_FAMILY, "address family", _choice(ADDR_FAMILIES), "v4",
+         "address family campaigns run in: v4 or v6"),
+    Knob(ENV_DATA_DIR, "data directory", _path, "data",
+         "where generated census datasets are cached"),
+)}
+
+
+def resolve(name: str, explicit=None, default=None):
+    """Knob ``name``: explicit argument > environment variable > default.
+
+    ``default`` (when not ``None``) replaces the table's default for
+    this one lookup — e.g. a campaign's preset implies its family.
     """
-    raw, source = _resolve(explicit, ENV_OBS, "off")
-    value = str(raw).strip().lower()
-    if value not in OBS_MODES:
-        choices = ", ".join(repr(m) for m in OBS_MODES)
-        raise ValueError(
-            f"unknown observability mode {raw!r} (from {source}); "
-            f"choose one of {choices}"
-        )
-    return value
+    knob = KNOBS[name]
+    if explicit is not None:
+        raw, source = explicit, "argument"
+    elif (raw := os.environ.get(name)) is not None:
+        source = name
+    else:
+        raw = knob.default if default is None else default
+        source = "default"
+    return None if raw is None else knob.parse(raw, source, knob.label)
 
 
-def ckpt_keep(explicit=None) -> int:
-    """The validated checkpoint keep-N window (>= 1).
+def _accessor(name: str):
+    def get(explicit=None, default=None):
+        return resolve(name, explicit, default)
 
-    ``explicit`` wins over ``$REPRO_CKPT_KEEP`` over the default of 2.
-    The newest N checkpoint generations survive each save; everything
-    older is pruned.  1 restores the pre-generation behaviour (a
-    single live checkpoint — and therefore no rollback target when it
-    fails verification at resume).
-    """
-    raw, source = _resolve(explicit, ENV_CKPT_KEEP, 2)
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"checkpoint keep window must be a positive integer, got "
-            f"{raw!r} (from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"checkpoint keep window must be >= 1, got {value} "
-            f"(from {source})"
-        )
-    return value
+    get.__doc__ = f"``{name}``: {KNOBS[name].doc}."
+    return get
 
 
-def fs_fault_plan(explicit=None):
-    """The validated storage-chaos
-    :class:`~repro.orchestrator.storage_faults.FsFaultPlan`.
-
-    ``explicit`` may be a plan string or an existing ``FsFaultPlan``;
-    otherwise ``$REPRO_FS_FAULT_PLAN`` is parsed; with neither, the
-    empty plan (no injected storage faults).  Syntax errors raise
-    :class:`ValueError` naming the source.
-    """
-    # Imported lazily: the storage fault plane lives next to the
-    # checkpoint store, which imports this module for the other knobs.
-    from repro.orchestrator.storage_faults import FsFaultPlan
-
-    if isinstance(explicit, FsFaultPlan):
-        return explicit
-    raw, source = _resolve(explicit, ENV_FS_FAULT_PLAN, None)
-    try:
-        return FsFaultPlan.parse(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"bad storage fault plan (from {source}): {exc}"
-        ) from None
-
-
-def count_backend(explicit=None) -> str:
-    """The validated counting-backend *name* the resolution lands on.
-
-    Unlike :func:`repro.bgp.backends.get_backend` — which resolves at
-    counting time, deep inside a campaign — this validates up front so
-    knob errors surface before any work is done.
-    """
-    # Imported lazily: backends is a leaf module but pulls in numpy
-    # machinery this module doesn't otherwise need.
-    from repro.bgp.backends import DEFAULT_BACKEND, available_backends
-
-    raw, source = _resolve(explicit, ENV_COUNT_BACKEND, DEFAULT_BACKEND)
-    if raw not in available_backends():
-        raise ValueError(
-            f"unknown counting backend {raw!r} (from {source}); "
-            f"available: {available_backends()}"
-        )
-    return raw
-
-
-def addr_family(explicit=None) -> str:
-    """The validated address family: ``v4`` or ``v6``.
-
-    ``explicit`` wins over ``$REPRO_ADDR_FAMILY`` over the default
-    ``v4``.  The family decides the address representation end to end
-    (int64 vs 128-bit ``S16``; see :mod:`repro.core.addrspace`) and is
-    recorded in campaign specs and checkpoint manifests so a resume
-    can reject a family mismatch.
-    """
-    raw, source = _resolve(explicit, ENV_ADDR_FAMILY, "v4")
-    value = str(raw).strip().lower()
-    if value not in ADDR_FAMILIES:
-        choices = ", ".join(repr(f) for f in ADDR_FAMILIES)
-        raise ValueError(
-            f"unknown address family {raw!r} (from {source}); "
-            f"choose one of {choices}"
-        )
-    return value
+scan_shards = _accessor(ENV_SCAN_SHARDS)
+scan_executor = _accessor(ENV_SCAN_EXECUTOR)
+count_backend = _accessor(ENV_COUNT_BACKEND)
+dist_workers = _accessor(ENV_DIST_WORKERS)
+fault_plan = _accessor(ENV_FAULT_PLAN)
+dist_shard_deadline = _accessor(ENV_DIST_SHARD_DEADLINE)
+dist_respawn_base = _accessor(ENV_DIST_RESPAWN_BASE)
+dist_crash_loop_threshold = _accessor(ENV_DIST_CRASH_LOOP)
+dist_address_book = _accessor(ENV_DIST_ADDRESS_BOOK)
+dist_secret = _accessor(ENV_DIST_SECRET)
+obs_mode = _accessor(ENV_OBS)
+ckpt_keep = _accessor(ENV_CKPT_KEEP)
+fs_fault_plan = _accessor(ENV_FS_FAULT_PLAN)
+addr_family = _accessor(ENV_ADDR_FAMILY)
+data_dir = _accessor(ENV_DATA_DIR)

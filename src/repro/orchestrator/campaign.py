@@ -22,7 +22,6 @@ wave accounting, and status JSON to an uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -32,7 +31,6 @@ from repro import obs
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 from repro.core.tass import TassStrategy
 from repro.env import (
-    ENV_ADDR_FAMILY,
     addr_family,
     count_backend,
     scan_executor,
@@ -189,15 +187,14 @@ class CampaignSpec:
                 "pacing (probes_per_sec) requires the serial executor: "
                 "a token bucket cannot be shared across worker processes"
             )
-        if self.family is None and not os.environ.get(ENV_ADDR_FAMILY):
-            # Neither argument nor environment: a preset that is
-            # intrinsically one family (e.g. "v6-tiny") implies it.
-            from repro.census.synth import PRESETS
+        # Below argument and environment, a preset that is
+        # intrinsically one family (e.g. "v6-tiny") implies it.
+        from repro.census.synth import PRESETS
 
-            preset_spec = PRESETS.get(self.preset)
-            family = preset_spec.family if preset_spec else "v4"
-        else:
-            family = addr_family(self.family)
+        preset_spec = PRESETS.get(self.preset)
+        family = addr_family(
+            self.family, default=preset_spec and preset_spec.family
+        )
         if family == "v6":
             if self.explore_frac > 0.0:
                 raise ValueError(

@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> CampaignSpec:
     # .resolved() validates the knob strings (argument > env var >
-    # default, via repro.env), so a typo'd --shards or REPRO_SCAN_*
-    # value fails at plan time with a clear message instead of deep
+    # default, via repro.env), so a typo'd --shards or shard/executor
+    # env var fails at plan time with a clear message instead of deep
     # inside wave execution.
     return CampaignSpec(
         name=args.name,

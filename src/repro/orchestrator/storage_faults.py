@@ -1,6 +1,7 @@
 """Deterministic filesystem fault injection for the checkpoint store.
 
-The storage chaos plane mirrors :mod:`repro.scan.faults`: a
+The storage chaos plane shares :mod:`repro.scan.faults`' plan grammar
+and container (:class:`~repro.scan.faults.Plan`): a
 declarative :class:`FsFaultPlan` — parsed from the
 ``REPRO_FS_FAULT_PLAN`` environment variable or built programmatically
 — *describes* what goes wrong and where, and the
@@ -40,9 +41,12 @@ matches or it does not.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
+
+from repro.env import ENV_FS_FAULT_PLAN
+from repro.scan.faults import Plan
 
 __all__ = [
     "ENV_FS_FAULT_PLAN",
@@ -54,8 +58,6 @@ __all__ = [
     "SimulatedCrash",
     "flip_byte",
 ]
-
-ENV_FS_FAULT_PLAN = "REPRO_FS_FAULT_PLAN"
 
 #: Faults fired at a ``save()`` call site.
 SAVE_FAULT_KINDS = (
@@ -91,6 +93,8 @@ class FsFaultSpec:
     middle of the file).
     """
 
+    OPTIONS: ClassVar[dict] = {"offset": int}
+
     kind: str
     site: str
     index: int
@@ -123,6 +127,17 @@ class FsFaultSpec:
         if self.offset is not None and self.kind not in GEN_FAULT_KINDS:
             raise ValueError(f"{self.kind} does not take an offset")
 
+    @classmethod
+    def from_entry(cls, kind: str, where: str, **options) -> "FsFaultSpec":
+        site, sep, index = where.partition("-")
+        if not sep or site not in ("save", "gen"):
+            raise ValueError("site must be save-N or gen-N")
+        try:
+            position = int(index)
+        except ValueError:
+            raise ValueError("position must be an integer") from None
+        return cls(kind=kind, site=site, index=position, **options)
+
     @property
     def site_label(self) -> str:
         return f"{self.site}-{self.index}"
@@ -135,110 +150,25 @@ class FsFaultSpec:
             text += f":offset={self.offset}"
         return text
 
-    @classmethod
-    def parse(cls, entry: str) -> "FsFaultSpec":
-        entry = entry.strip()
-        head, _, tail = entry.partition(":")
-        kind, sep, where = head.partition("@")
-        kind = kind.strip()
-        if not sep:
-            raise ValueError(
-                f"storage fault entry {entry!r} needs kind@site-N "
-                "(e.g. 'torn_write@save-2' or 'bitrot@gen-3')"
-            )
-        site, sep, index_text = where.strip().partition("-")
-        if not sep or site not in ("save", "gen"):
-            raise ValueError(
-                f"storage fault entry {entry!r}: site must be save-N "
-                "or gen-N"
-            )
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise ValueError(
-                f"storage fault entry {entry!r}: position must be an "
-                "integer"
-            ) from None
-        offset: int | None = None
-        for option in filter(None, (p.strip() for p in tail.split(":"))):
-            key, sep, value = option.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"storage fault entry {entry!r}: option {option!r} "
-                    "must be key=value"
-                )
-            if key.strip() == "offset":
-                try:
-                    offset = int(value.strip())
-                except ValueError:
-                    raise ValueError(
-                        f"storage fault entry {entry!r}: offset must "
-                        "be an integer"
-                    ) from None
-            else:
-                raise ValueError(
-                    f"storage fault entry {entry!r}: unknown option "
-                    f"{key.strip()!r} (expected offset=)"
-                )
-        return cls(kind=kind, site=site, index=index, offset=offset)
 
+class FsFaultPlan(Plan):
+    """The storage plane's plan of :class:`FsFaultSpec`\\ s."""
 
-class FsFaultPlan:
-    """An ordered collection of :class:`FsFaultSpec`\\ s (first match wins)."""
-
-    __slots__ = ("specs",)
-
-    def __init__(self, specs=()):
-        self.specs = tuple(specs)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FsFaultPlan) and self.specs == other.specs
-        )
-
-    def __repr__(self) -> str:
-        return f"FsFaultPlan({self.to_string()!r})"
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str | None) -> "FsFaultPlan":
-        """Parse the ``REPRO_FS_FAULT_PLAN`` syntax (empty → no faults)."""
-        if not text or not text.strip():
-            return cls()
-        entries = text.replace(";", ",").split(",")
-        return cls(
-            FsFaultSpec.parse(entry) for entry in entries if entry.strip()
-        )
-
-    @classmethod
-    def from_env(cls) -> "FsFaultPlan":
-        return cls.parse(os.environ.get(ENV_FS_FAULT_PLAN))
-
-    def to_string(self) -> str:
-        return ",".join(spec.to_string() for spec in self.specs)
-
-    # -- queries -------------------------------------------------------
+    __slots__ = ()
+    SPEC = FsFaultSpec
+    LABEL = "storage fault entry"
 
     def save_fault(self, index: int) -> FsFaultSpec | None:
         """The fault (if any) armed for the ``index``-th ``save()`` call."""
-        for spec in self.specs:
-            if spec.site == "save" and spec.index == index:
-                return spec
-        return None
+        return self._first(
+            lambda spec: spec.site == "save" and spec.index == index
+        )
 
     def gen_fault(self, gen: int) -> FsFaultSpec | None:
         """The at-rest fault (if any) armed for generation ``gen``."""
-        for spec in self.specs:
-            if spec.site == "gen" and spec.index == gen:
-                return spec
-        return None
+        return self._first(
+            lambda spec: spec.site == "gen" and spec.index == gen
+        )
 
 
 def flip_byte(path, offset: int | None = None) -> int:

@@ -37,6 +37,10 @@ coordinator ever launches) for ``spawn_crash``/``auth_fail``.
 ``attempts=N`` fires
 the fault on the first N attempts of that shard (default 1);
 ``attempts=*`` fires on every attempt.  ``@*`` matches any shard.
+The entry grammar (``kind@site[:key=val]``) and the plan container
+(:func:`split_entry`, :class:`Plan`) are shared with the storage chaos
+plane, :mod:`repro.orchestrator.storage_faults`; each plane keeps only
+its kind table and spec validation.
 
 This module also holds the pure arithmetic the coordinator's recovery
 machinery is built on — :func:`backoff_delay` and
@@ -47,14 +51,15 @@ sockets and clocks so unit tests pin the numbers exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = [
-    "ENV_FAULT_PLAN",
     "WORKER_FAULT_KINDS",
     "SPAWN_FAULT_KINDS",
     "FAULT_KINDS",
+    "split_entry",
+    "Plan",
     "FaultSpec",
     "FaultPlan",
     "backoff_delay",
@@ -62,11 +67,9 @@ __all__ = [
     "RespawnGovernor",
 ]
 
-ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
-
 #: Faults executed by a worker when armed in a ``shard`` frame.
 WORKER_FAULT_KINDS = (
-    "crash",       # die mid-shard, no result (the old --fail-shards)
+    "crash",       # die mid-shard, no result
     "hang",        # never answer; only a shard deadline can rescue it
     "stall",       # sleep ``delay`` seconds, then answer normally
     "corrupt",     # send a well-framed but non-JSON body
@@ -84,6 +87,93 @@ SPAWN_FAULT_KINDS = ("spawn_crash", "auth_fail")
 FAULT_KINDS = WORKER_FAULT_KINDS + SPAWN_FAULT_KINDS
 
 
+def split_entry(entry: str, options: dict) -> tuple[str, str, dict]:
+    """Tokenize one ``kind@site[:key=val]...`` plan entry.
+
+    ``options`` maps every accepted key to the converter of its value.
+    Returns ``(kind, site, {key: converted value})``; the caller turns
+    the pieces into a spec.  Errors say what is wrong but not which
+    entry — :meth:`Plan.parse` adds that.
+    """
+    head, *tail = entry.split(":")
+    kind, sep, site = head.partition("@")
+    if not sep:
+        raise ValueError("needs kind@site")
+    values = {}
+    for option in filter(None, (p.strip() for p in tail)):
+        key, sep, value = (t.strip() for t in option.partition("="))
+        if not sep:
+            raise ValueError(f"option {option!r} must be key=value")
+        if key not in options:
+            raise ValueError(
+                f"unknown option {key!r} (expected "
+                + " or ".join(f"{k}=" for k in options) + ")"
+            )
+        try:
+            values[key] = options[key](value)
+        except ValueError:
+            raise ValueError(f"bad {key}= value {value!r}") from None
+    return kind.strip(), site.strip(), values
+
+
+class Plan:
+    """An ordered tuple of fault specs (first match wins).
+
+    The text form is ``kind@site[:key=val]`` entries separated by ``,``
+    or ``;``, shared by the scan plane (:class:`FaultPlan`) and the
+    storage plane
+    (:class:`~repro.orchestrator.storage_faults.FsFaultPlan`).  A
+    subclass sets ``SPEC`` — a spec class with an ``OPTIONS`` table
+    (key → value converter), a ``from_entry(kind, site, **options)``
+    constructor that validates, and ``to_string()`` — and ``LABEL``,
+    the noun its errors use.
+    """
+
+    __slots__ = ("specs",)
+    SPEC: type
+    LABEL: str
+
+    def __init__(self, specs=()):
+        self.specs = tuple(specs)
+
+    def __bool__(self) -> bool:
+        return bool(self.specs)
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.specs == other.specs
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_string()!r})"
+
+    @classmethod
+    def parse(cls, text: str | None):
+        """Parse the plan syntax (empty/None → no faults)."""
+        specs = []
+        for entry in (text or "").replace(";", ",").split(","):
+            entry = entry.strip()
+            if not entry:
+                continue
+            try:
+                kind, site, options = split_entry(entry, cls.SPEC.OPTIONS)
+                specs.append(cls.SPEC.from_entry(kind, site, **options))
+            except ValueError as exc:
+                raise ValueError(f"{cls.LABEL} {entry!r}: {exc}") from None
+        return cls(specs)
+
+    def to_string(self) -> str:
+        return ",".join(spec.to_string() for spec in self.specs)
+
+    def _first(self, match):
+        return next((spec for spec in self.specs if match(spec)), None)
+
+
+def _attempts(text: str) -> int | None:
+    return None if text == "*" else int(text)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One declarative fault: what, where, how often.
@@ -93,6 +183,8 @@ class FaultSpec:
     number of attempts sabotaged (``None`` = every attempt).  ``delay``
     is the sleep for ``stall`` (ignored by other kinds).
     """
+
+    OPTIONS: ClassVar[dict] = {"attempts": _attempts, "delay": float}
 
     kind: str
     shard: int | None = None
@@ -116,6 +208,14 @@ class FaultSpec:
         if self.kind in SPAWN_FAULT_KINDS and self.shard is None:
             raise ValueError(f"{self.kind} needs an explicit spawn ordinal")
 
+    @classmethod
+    def from_entry(cls, kind: str, site: str, **options) -> "FaultSpec":
+        try:
+            shard = None if site == "*" else int(site)
+        except ValueError:
+            raise ValueError("shard must be an integer or '*'") from None
+        return cls(kind=kind, shard=shard, **options)
+
     # -- matching ------------------------------------------------------
 
     def matches_shard(self, shard: int, attempt: int) -> bool:
@@ -134,8 +234,6 @@ class FaultSpec:
             return False
         return self.attempts is None or ordinal - self.shard < self.attempts
 
-    # -- text form -----------------------------------------------------
-
     def to_string(self) -> str:
         text = f"{self.kind}@{'*' if self.shard is None else self.shard}"
         if self.attempts != 1:
@@ -144,119 +242,21 @@ class FaultSpec:
             text += f":delay={self.delay:g}"
         return text
 
-    @classmethod
-    def parse(cls, entry: str) -> "FaultSpec":
-        entry = entry.strip()
-        head, _, tail = entry.partition(":")
-        kind, sep, shard_text = head.partition("@")
-        kind = kind.strip()
-        if not sep:
-            raise ValueError(
-                f"fault entry {entry!r} needs kind@shard "
-                "(e.g. 'crash@2' or 'hang@*')"
-            )
-        shard_text = shard_text.strip()
-        if shard_text == "*":
-            shard = None
-        else:
-            try:
-                shard = int(shard_text)
-            except ValueError:
-                raise ValueError(
-                    f"fault entry {entry!r}: shard must be an integer "
-                    "or '*'"
-                ) from None
-        attempts: int | None = 1
-        delay = 0.0
-        for option in filter(None, (p.strip() for p in tail.split(":"))):
-            key, sep, value = option.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"fault entry {entry!r}: option {option!r} must be "
-                    "key=value"
-                )
-            key = key.strip()
-            value = value.strip()
-            if key == "attempts":
-                attempts = None if value == "*" else int(value)
-            elif key == "delay":
-                delay = float(value)
-            else:
-                raise ValueError(
-                    f"fault entry {entry!r}: unknown option {key!r} "
-                    "(expected attempts= or delay=)"
-                )
-        return cls(kind=kind, shard=shard, attempts=attempts, delay=delay)
 
+class FaultPlan(Plan):
+    """The scan plane's plan of :class:`FaultSpec`\\ s."""
 
-class FaultPlan:
-    """An ordered collection of :class:`FaultSpec`\\ s (first match wins)."""
-
-    __slots__ = ("specs",)
-
-    def __init__(self, specs=()):
-        self.specs = tuple(specs)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FaultPlan) and self.specs == other.specs
-
-    def __repr__(self) -> str:
-        return f"FaultPlan({self.to_string()!r})"
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str | None) -> "FaultPlan":
-        """Parse the ``REPRO_FAULT_PLAN`` syntax (empty/None → no faults)."""
-        if not text or not text.strip():
-            return cls()
-        entries = text.replace(";", ",").split(",")
-        return cls(
-            FaultSpec.parse(entry) for entry in entries if entry.strip()
-        )
-
-    @classmethod
-    def from_env(cls) -> "FaultPlan":
-        return cls.parse(os.environ.get(ENV_FAULT_PLAN))
-
-    @classmethod
-    def crash_shards(cls, shards, every_attempt: bool = False) -> "FaultPlan":
-        """The old ``--fail-shards`` semantics as a plan (back-compat)."""
-        return cls(
-            FaultSpec(
-                "crash", shard=int(s),
-                attempts=None if every_attempt else 1,
-            )
-            for s in sorted(shards)
-        )
-
-    def merged_with(self, other: "FaultPlan") -> "FaultPlan":
-        return FaultPlan(self.specs + other.specs)
-
-    def to_string(self) -> str:
-        return ",".join(spec.to_string() for spec in self.specs)
-
-    # -- queries -------------------------------------------------------
+    __slots__ = ()
+    SPEC = FaultSpec
+    LABEL = "fault entry"
 
     def shard_fault(self, shard: int, attempt: int) -> FaultSpec | None:
         """The fault (if any) armed for the ``attempt``-th try of ``shard``."""
-        for spec in self.specs:
-            if spec.matches_shard(shard, attempt):
-                return spec
-        return None
+        return self._first(lambda spec: spec.matches_shard(shard, attempt))
 
     def spawn_fault(self, ordinal: int) -> FaultSpec | None:
         """The fault (if any) killing the ``ordinal``-th spawned process."""
-        for spec in self.specs:
-            if spec.matches_spawn(ordinal):
-                return spec
-        return None
+        return self._first(lambda spec: spec.matches_spawn(ordinal))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ class RespawnGovernor:
     ):
         if crash_loop_threshold < 1:
             raise ValueError("crash_loop_threshold must be >= 1")
-        self.base = float(base)
+        self.base = float(base or 0.0)  # None: backoff off
         self.cap = float(cap)
         self.threshold = int(crash_loop_threshold)
         self.failures = 0   # consecutive spawn-side failures

@@ -95,7 +95,7 @@ def test_backends_agree_on_unaligned_intervals(seed):
         assert np.array_equal(got, oracle), name
 
 
-@pytest.mark.parametrize("name", ["searchsorted", "bitmap", "trie"])
+@pytest.mark.parametrize("name", ["searchsorted", "trie"])
 def test_backend_handles_empty_inputs(name):
     empty = np.empty(0, dtype=np.int64)
     assert count_with_backend(empty, empty, empty, name).tolist() == []
@@ -108,7 +108,7 @@ def test_registry_resolution(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     assert resolve_backend_name(None) == DEFAULT_BACKEND
     assert resolve_backend_name("trie") == "trie"
-    assert {"searchsorted", "bitmap", "trie"} <= set(available_backends())
+    assert {"searchsorted", "trie"} <= set(available_backends())
     with pytest.raises(ValueError, match="unknown counting backend"):
         get_backend("no-such-backend")
     # Callables pass straight through.
@@ -117,8 +117,8 @@ def test_registry_resolution(monkeypatch):
 
 
 def test_env_var_selects_default_backend(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "bitmap")
-    assert resolve_backend_name(None) == "bitmap"
+    monkeypatch.setenv(ENV_VAR, "trie")
+    assert resolve_backend_name(None) == "trie"
     rng = np.random.default_rng(7)
     partition = _random_table(rng).partition(LESS_SPECIFIC)
     values = _random_addresses(rng, partition)
@@ -144,8 +144,8 @@ def test_backend_threads_through_strategy_and_partition():
             values
         )
     # A table-level default backend is inherited by its partitions.
-    pinned = RoutingTable(table.l_prefixes, count_backend="bitmap")
-    assert pinned.partition(LESS_SPECIFIC).count_backend == "bitmap"
+    pinned = RoutingTable(table.l_prefixes, count_backend="trie")
+    assert pinned.partition(LESS_SPECIFIC).count_backend == "trie"
     assert np.array_equal(
         pinned.partition(LESS_SPECIFIC).count_addresses(values),
         partition.count_addresses(values),

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_mini_dataset
+from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 import repro.orchestrator.campaign as campaign_mod
 import repro.scan.distributed as distributed
@@ -30,7 +31,7 @@ from repro.scan.executors import (
     register_executor,
     serial_executor,
 )
-from repro.scan.faults import ENV_FAULT_PLAN, WORKER_FAULT_KINDS, FaultPlan
+from repro.scan.faults import WORKER_FAULT_KINDS, FaultPlan
 from repro.scan.sharded import run_sharded, shard_targets
 
 _CONFIG = EngineConfig(batch_size=1 << 11)

@@ -152,7 +152,7 @@ class TestCountCache:
         values = _frozen([1, 5, 11])
         monkeypatch.setenv("REPRO_COUNT_BACKEND", "searchsorted")
         cache.counts(part, values)
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "bitmap")
+        monkeypatch.setenv("REPRO_COUNT_BACKEND", "trie")
         cache.counts(part, values)
         assert cache.misses == 2 and cache.hits == 0
 

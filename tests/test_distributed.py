@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from conftest import build_mini_dataset
+from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.blocklist import Blocklist
 from repro.scan.distributed import (
-    ENV_FAIL_SHARDS,
-    ENV_SHARD_DELAY,
     MAX_FRAME,
     Coordinator,
     FrameStream,
@@ -293,17 +292,16 @@ def test_garbled_hello_still_charges_budget():
         coordinator._selector.close()
 
 
-def test_stray_peers_mid_run_do_not_perturb_results(monkeypatch):
-    monkeypatch.setenv(ENV_SHARD_DELAY, "0.2")
+def test_stray_peers_mid_run_do_not_perturb_results():
     spec, responsive = _world()
-    monkeypatch.delenv(ENV_SHARD_DELAY)
     serial = run_sharded(
         spec, responsive, shards=3, executor="serial", config=_CONFIG
     )
-    monkeypatch.setenv(ENV_SHARD_DELAY, "0.2")
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
-    with Coordinator(worker_args, workers=2) as coordinator:
+    with Coordinator(
+        worker_args, workers=2, fault_plan="stall@*:attempts=*:delay=0.2"
+    ) as coordinator:
         gen = coordinator.run(targets)
         results = [next(gen)]  # the listener is live past this point
         port = coordinator._listener.getsockname()[1]
@@ -409,7 +407,7 @@ def test_worker_failure_requeues_without_perturbing_results():
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, fail_shards={2}
+        worker_args, workers=2, fault_plan="crash@2"
     ) as coordinator:
         results = list(coordinator.run(targets))
         assert coordinator.failures >= 1
@@ -423,7 +421,7 @@ def test_env_fail_injection_through_run_sharded(monkeypatch):
     serial = run_sharded(
         spec, responsive, shards=3, executor="serial", config=_CONFIG
     )
-    monkeypatch.setenv(ENV_FAIL_SHARDS, "1")
+    monkeypatch.setenv(ENV_FAULT_PLAN, "crash@1")
     dist = run_sharded(
         spec, responsive, shards=3, executor="distributed", config=_CONFIG
     )
@@ -437,8 +435,7 @@ def test_unrecoverable_failures_raise():
     with Coordinator(
         worker_args,
         workers=1,
-        fail_shards={0, 1},
-        fail_every_spawn=True,
+        fault_plan="crash@0:attempts=*,crash@1:attempts=*",
     ) as coordinator:
         with pytest.raises(RuntimeError, match="worker failures"):
             list(coordinator.run(targets))
@@ -513,7 +510,7 @@ def test_distributed_kill_and_resume_with_worker_failure(
         DIST_SPEC, dataset=build_mini_dataset()
     ).run()
 
-    monkeypatch.setenv(ENV_FAIL_SHARDS, "1")
+    monkeypatch.setenv(ENV_FAULT_PLAN, "crash@1")
     directory = tmp_path / "dist-faulty"
     runner = CampaignRunner(
         DIST_SPEC, dataset=build_mini_dataset(), directory=directory

@@ -1,8 +1,12 @@
 """Validated environment knobs: clear errors instead of silent fallbacks."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.env import (
+    KNOBS,
     ckpt_keep,
     count_backend,
     dist_address_book,
@@ -199,7 +203,7 @@ class TestCountBackend:
         assert count_backend() == "searchsorted"
 
     def test_registered_names_accepted(self):
-        for name in ("searchsorted", "bitmap", "trie"):
+        for name in ("searchsorted", "trie"):
             assert count_backend(name) == name
 
     def test_bad_value_lists_available(self, monkeypatch):
@@ -249,3 +253,39 @@ def test_run_sharded_surfaces_bad_env_shards(monkeypatch):
     monkeypatch.setenv("REPRO_SCAN_SHARDS", "lots")
     with pytest.raises(ValueError, match="positive integer"):
         run_sharded(1000, np.array([1, 2, 3], dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Knob-surface drift
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Variables of the test and benchmark harness, not package knobs.
+HARNESS_ONLY = {"REPRO_BENCH_PRESET", "REPRO_UPDATE_GOLDEN"}
+
+
+def _readme_knob_rows() -> set:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Environment knobs\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` ", section, re.M))
+
+
+def test_every_repro_name_is_a_knob_row():
+    files = [
+        *(ROOT / "src").rglob("*.py"),
+        *(p for p in (ROOT / "scripts").rglob("*") if p.is_file()),
+        ROOT / "README.md",
+    ]
+    strays = {
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in files
+        for name in re.findall(r"REPRO_[A-Z0-9_]+", path.read_text())
+        if name not in KNOBS and name not in HARNESS_ONLY
+    }
+    assert not strays, sorted(strays)
+
+
+def test_readme_knob_table_matches_the_knob_table():
+    assert _readme_knob_rows() == set(KNOBS)

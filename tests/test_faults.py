@@ -8,6 +8,7 @@ only.  The process-level chaos matrix that *uses* these plans lives in
 import pytest
 
 import repro.env as env
+from repro.orchestrator.storage_faults import FsFaultPlan
 from repro.scan.faults import (
     FAULT_KINDS,
     WORKER_FAULT_KINDS,
@@ -71,6 +72,32 @@ class TestPlanParsing:
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
 
+    @pytest.mark.parametrize(
+        "plan_cls, entry",
+        [
+            (FaultPlan, "crash@1:attempts=abc"),
+            (FaultPlan, "crash@1:attempts="),
+            (FaultPlan, "stall@0:delay=x"),
+            (FaultPlan, "crash@1:attempts=2.5"),
+            (FaultPlan, "crash@1:color=red"),
+            (FaultPlan, "crash@x"),
+            (FaultPlan, "tornado@1"),
+            (FaultPlan, "crash@1:attempts=0"),
+            (FsFaultPlan, "bitrot@gen-1:offset=x"),
+            (FsFaultPlan, "bitrot@gen-1:depth=3"),
+            (FsFaultPlan, "enospc@save-x"),
+            (FsFaultPlan, "melt@save-1"),
+            (FsFaultPlan, "bitrot@gen-0"),
+        ],
+    )
+    def test_bad_entry_errors_name_the_entry(self, plan_cls, entry):
+        # Both planes share one entry parser: whatever is wrong with an
+        # entry, the error quotes it (here after a valid first entry).
+        first = "crash@0" if plan_cls is FaultPlan else "enospc@save-0"
+        with pytest.raises(ValueError) as excinfo:
+            plan_cls.parse(f"{first},{entry}")
+        assert repr(entry) in str(excinfo.value)
+
     def test_every_kind_parses(self):
         for kind in WORKER_FAULT_KINDS:
             assert FaultPlan.parse(f"{kind}@0")
@@ -80,12 +107,6 @@ class TestPlanParsing:
     def test_auth_fail_needs_explicit_ordinal(self):
         with pytest.raises(ValueError, match="spawn ordinal"):
             FaultPlan.parse("auth_fail@*")
-
-    def test_legacy_crash_shards(self):
-        plan = FaultPlan.crash_shards({3, 1})
-        assert plan.to_string() == "crash@1,crash@3"
-        loop = FaultPlan.crash_shards({0}, every_attempt=True)
-        assert loop.specs[0].attempts is None
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +157,6 @@ class TestMatching:
         assert plan.spawn_fault(2).kind == "auth_fail"
         assert plan.spawn_fault(3) is None
         assert plan.shard_fault(1, 0) is None
-
-    def test_merged_with_preserves_order(self):
-        merged = FaultPlan.parse("crash@1").merged_with(
-            FaultPlan.parse("hang@1")
-        )
-        assert merged.shard_fault(1, 0).kind == "crash"
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_output_matches_golden(name, tiny_dataset):
     )
 
 
-@pytest.mark.parametrize("backend", ["bitmap", "trie"])
+@pytest.mark.parametrize("backend", ["trie"])
 def test_table1_golden_holds_under_every_backend(tiny_dataset, backend):
     """Swapping the counting backend must not move any paper number."""
     path = GOLDEN_DIR / "table1.txt"

@@ -48,11 +48,11 @@ class TestCampaignSpec:
 
     def test_resolved_pins_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCAN_SHARDS", "5")
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "bitmap")
+        monkeypatch.setenv("REPRO_COUNT_BACKEND", "trie")
         resolved = CampaignSpec().resolved()
         assert resolved.shards == 5
         assert resolved.executor == "serial"
-        assert resolved.backend == "bitmap"
+        assert resolved.backend == "trie"
         # Resolution is idempotent: a stored spec re-resolves to itself.
         monkeypatch.setenv("REPRO_SCAN_SHARDS", "9")
         assert resolved.resolved() == resolved

@@ -74,7 +74,7 @@ def test_backend_choice_does_not_change_accounting():
         ]
     )
     baseline = simulate_campaign(TassStrategy(partition, phi=0.9), series)
-    for backend in ("searchsorted", "bitmap", "trie"):
+    for backend in ("searchsorted", "trie"):
         strategy = TassStrategy(partition, phi=0.9, backend=backend)
         campaign = simulate_campaign(strategy, series, backend=backend)
         assert campaign.hitrates() == baseline.hitrates()
