@@ -16,7 +16,7 @@ export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# The newest journaled checkpoint generation of a campaign directory.
+# The newest checkpoint generation file of a campaign directory.
 latest_ckpt() {
     python - "$1" <<'PY'
 import sys

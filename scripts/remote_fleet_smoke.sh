@@ -12,10 +12,11 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 WORK=$(mktemp -d)
-WORKER_PIDS=()
 cleanup() {
-    for pid in "${WORKER_PIDS[@]:-}"; do
-        kill "$pid" 2>/dev/null || true
+    # start_worker runs in a $(...) subshell, so its workers' pids live
+    # in pid files, not in a variable this shell could see.
+    for pidfile in "$WORK"/*.pid; do
+        [ -e "$pidfile" ] && kill "$(cat "$pidfile")" 2>/dev/null || true
     done
     rm -rf "$WORK"
 }
@@ -31,7 +32,7 @@ start_worker() {
     local name=$1; shift
     env "$@" python -m repro.scan.distributed --listen 127.0.0.1:0 \
         > "$WORK/$name.out" 2> "$WORK/$name.log" &
-    WORKER_PIDS+=("$!")
+    echo "$!" > "$WORK/$name.pid"
     local port=""
     for _ in $(seq 1 100); do
         port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \

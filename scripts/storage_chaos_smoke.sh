@@ -4,7 +4,7 @@
 # fsync_fail), a simulated crash at the promote rename, bitrot caught
 # by `verify --repair`, and a torn final write recovered by the
 # automatic rollback-on-resume path — and require every surviving
-# arm's journaled checkpoint generations and final status JSON to be
+# arm's checkpoint generation files and final status JSON to be
 # byte-identical to an unfaulted serial run of the same campaign.
 # Exercises the real process boundary (the fault plan, the tmp sweep,
 # and the fsck CLI) that the in-process test suite can't.
@@ -19,19 +19,17 @@ SPEC=(--preset tiny --protocol http --phi 0.95 --waves 2
       --reseed-mode interval --reseed-interval 0
       --shards 4 --executor serial --batch-size 16384)
 
-# The journaled generation file names of a campaign directory.
+# The generation file names of a campaign directory, oldest first.
 gen_files() {
     python - "$1" <<'PY'
 import sys
 from repro.orchestrator.checkpoint import CheckpointStore
-journal, error = CheckpointStore(sys.argv[1], sweep=False).read_journal()
-assert error is None, error
-for entry in journal["generations"]:
-    print(entry["file"])
+for _, path in CheckpointStore(sys.argv[1], sweep=False).generation_files():
+    print(path.name)
 PY
 }
 
-# Byte-diff an arm against the reference: same journaled generations,
+# Byte-diff an arm against the reference: same generation files,
 # same generation bytes, same final status JSON.
 diff_against_ref() {
     diff <(gen_files "$WORK/ref") <(gen_files "$1")
@@ -105,8 +103,8 @@ python -m repro.orchestrator verify --dir "$WORK/torn" > /dev/null
 RC=$?
 set -e
 [ "$RC" -ne 0 ] || { echo "verify missed the torn write" >&2; exit 1; }
-# No repair: resume's load() detects the tear against the journaled
-# digest, quarantines, rolls back, and re-runs the lost tail.
+# No repair: resume's load() detects the tear against the header's
+# body digest, quarantines, rolls back, and re-runs the lost tail.
 python -m repro.orchestrator resume --dir "$WORK/torn"
 [ -f "$WORK/torn/quarantine/checkpoint.$LATEST.npz" ] || {
     echo "resume did not quarantine the torn generation" >&2; exit 1; }

@@ -57,6 +57,7 @@ class Tracer:
 
     def __init__(self, path, clock=time.monotonic, wall=time.time):
         self.path = os.fspath(path)
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self._fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )

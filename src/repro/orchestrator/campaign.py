@@ -88,7 +88,7 @@ _RETRY_BACKOFF_CAP = 30.0
 
 #: Attempts per checkpoint save before an OSError propagates.  A save
 #: that fails cleanly (ENOSPC, fsync EIO) consumes no generation number
-#: and leaves the journal untouched, so retrying is always safe.
+#: and promotes no file, so retrying is always safe.
 _SAVE_ATTEMPTS = 3
 
 #: Base/cap (seconds) of the backoff between save attempts.

@@ -1,17 +1,17 @@
-"""Generation-journaled, self-verifying campaign checkpoints.
+"""Self-verifying campaign checkpoint generations.
 
-A checkpoint is one compressed ``.npz`` holding the JSON manifest (the
-campaign position, accounting, RNG state, and per-array SHA-256
-digests) alongside the state arrays (the live selection mask).  Saves
-never overwrite: every ``save()`` promotes a new ``checkpoint.<gen>.npz``
-via write-tmp-fsync-rename (plus a directory fsync), then commits it to
-the ``checkpoints.json`` journal — which records each generation's
-whole-payload SHA-256 — and prunes generations beyond the keep-N window
-(``REPRO_CKPT_KEEP``, default 2).
+A checkpoint generation ``checkpoint.<gen>.npz`` is a fixed magic, the
+SHA-256 of the body, then the body: one compressed ``.npz`` holding the
+JSON manifest (the campaign position, accounting, RNG state) alongside
+the state arrays (the live selection mask).  Each file verifies itself,
+so the directory listing is the only record of generations.  Saves
+never overwrite: every ``save()`` promotes generation *newest on disk
++ 1* via write-tmp-fsync-rename (plus a directory fsync) and prunes
+generations beyond the keep-N window (``REPRO_CKPT_KEEP``, default 2).
 
-``load()`` trusts nothing: the newest journaled generation is verified
-digest-first (whole file, then every array), and a torn write, bitrot,
-or truncation quarantines the damaged file under ``quarantine/`` and
+``load()`` trusts nothing: generations are verified newest-first
+(header, body digest, archive), and a torn write, bitrot, or
+truncation quarantines the damaged file under ``quarantine/`` and
 **rolls back** to the newest intact generation — from which shard-replay
 determinism re-runs the lost tail byte-identically.  Every detection,
 rollback, and injected fault is recorded as an incident for the
@@ -41,7 +41,6 @@ from repro.orchestrator.storage_faults import SimulatedCrash, flip_byte
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "JOURNAL_VERSION",
     "CheckpointCorruption",
     "CheckpointStore",
 ]
@@ -57,14 +56,18 @@ def _fsync_path(path: Path) -> None:
 
 #: Bump when the manifest/array schema changes shape.
 #: v2: the manifest carries ``wave_attempts`` (wave-level retry budget).
-#: v3: the manifest carries ``array_sha256`` (per-array integrity
-#: digests, verified on every load).
+#: v3: the manifest carries per-array integrity digests.
 #: v4: the manifest carries ``hitlist_month`` (v6 hitlist seeding) and
 #: the spec carries ``family``/``samples_per_prefix``.
-CHECKPOINT_VERSION = 4
+#: v5: the file is ``_MAGIC`` + SHA-256(body) + the npz body; the
+#: per-array digests are gone (the body digest covers every byte).
+CHECKPOINT_VERSION = 5
 
-#: Bump when the ``checkpoints.json`` journal schema changes shape.
-JOURNAL_VERSION = 1
+#: Every v5+ generation starts with this; a pre-v5 generation is a bare
+#: npz and starts with the zip signature instead.
+_MAGIC = b"\x89RPCKPT\n"
+_ZIP_SIGNATURE = b"PK\x03\x04"
+_HEADER_BYTES = len(_MAGIC) + hashlib.sha256().digest_size
 
 _MANIFEST_KEY = "manifest"
 
@@ -79,16 +82,6 @@ class _CorruptGeneration(Exception):
     """Internal: one generation failed verification (reason in args)."""
 
 
-def _array_digest(array) -> str:
-    """SHA-256 over an array's dtype, shape, and raw bytes."""
-    array = np.asarray(array)
-    digest = hashlib.sha256()
-    digest.update(array.dtype.str.encode())
-    digest.update(str(array.shape).encode())
-    digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
 class CheckpointStore:
     """Durable campaign state under one directory.
 
@@ -96,10 +89,8 @@ class CheckpointStore:
 
     - ``campaign.json``        — the immutable (resolved) campaign
       spec, written once at plan time;
-    - ``checkpoint.<gen>.npz`` — atomic checkpoint generations, newest
-      ``REPRO_CKPT_KEEP`` kept (default 2);
-    - ``checkpoints.json``     — the generation journal: the latest
-      good generation plus each generation's whole-payload SHA-256;
+    - ``checkpoint.<gen>.npz`` — atomic, self-verifying checkpoint
+      generations, newest ``REPRO_CKPT_KEEP`` kept (default 2);
     - ``quarantine/``          — checkpoint files that failed
       verification, moved aside for inspection instead of deleted;
     - ``status.json``          — the deterministic status document;
@@ -115,7 +106,9 @@ class CheckpointStore:
     ``keep``/``fault_plan`` default to the validated environment knobs
     (``REPRO_CKPT_KEEP`` / ``REPRO_FS_FAULT_PLAN``); ``sweep=False``
     leaves orphaned tmp files in place so :meth:`audit` can report
-    them.  Detections and injected faults are appended to
+    them.  The directory is created by the first write, so read-only
+    use (``status``, ``verify``) of a missing directory leaves no
+    trace.  Detections and injected faults are appended to
     :attr:`incidents` — the campaign runner drains them into the
     observability plane via :meth:`drain_incidents`.
     """
@@ -125,7 +118,6 @@ class CheckpointStore:
         from repro.env import ckpt_keep, fs_fault_plan
 
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = ckpt_keep(keep)
         self.fault_plan = fs_fault_plan(fault_plan)
         #: Pending observability incidents (dicts with a ``type`` key).
@@ -146,10 +138,6 @@ class CheckpointStore:
     @property
     def spec_path(self) -> Path:
         return self.directory / "campaign.json"
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / "checkpoints.json"
 
     @property
     def quarantine_dir(self) -> Path:
@@ -176,11 +164,7 @@ class CheckpointStore:
 
     @property
     def checkpoint_path(self) -> Path | None:
-        """The newest journaled generation's path (``None`` when empty)."""
-        journal, _ = self.read_journal()
-        if journal is not None and journal["generations"]:
-            entry = max(journal["generations"], key=lambda e: e["gen"])
-            return self.directory / entry["file"]
+        """The newest generation file's path (``None`` when empty)."""
         files = self.generation_files()
         return files[-1][1] if files else None
 
@@ -229,41 +213,6 @@ class CheckpointStore:
                 "`python -m repro.orchestrator verify`"
             ) from None
 
-    # -- journal -------------------------------------------------------
-
-    def read_journal(self) -> tuple[dict | None, str | None]:
-        """``(journal, None)``, ``(None, None)`` when absent, or
-        ``(None, reason)`` when the journal itself is damaged."""
-        if not self.journal_path.exists():
-            return None, None
-        try:
-            document = json.loads(self.journal_path.read_text())
-            entries = document["generations"]
-            latest = document["latest"]
-            if not isinstance(entries, list) or not all(
-                isinstance(e, dict)
-                and isinstance(e.get("gen"), int)
-                and isinstance(e.get("file"), str)
-                for e in entries
-            ):
-                raise ValueError("malformed generation entries")
-            if entries and latest != max(e["gen"] for e in entries):
-                raise ValueError("latest does not match the newest entry")
-        except (ValueError, KeyError, TypeError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-        return document, None
-
-    def _write_journal(self, entries) -> None:
-        entries = sorted(entries, key=lambda e: e["gen"])
-        self._write_json(
-            self.journal_path,
-            {
-                "version": JOURNAL_VERSION,
-                "latest": entries[-1]["gen"] if entries else 0,
-                "generations": entries,
-            },
-        )
-
     # -- checkpoint ----------------------------------------------------
 
     def has_checkpoint(self) -> bool:
@@ -272,55 +221,37 @@ class CheckpointStore:
     def save(self, manifest: dict, arrays: dict) -> None:
         """Atomically persist one checkpoint generation.
 
-        The payload is serialized in memory first so its SHA-256 lands
-        in the journal entry; the manifest gains per-array digests.  A
-        failed save cleans up its tmp file and leaves the journal (and
-        therefore the resume point) untouched, so the caller may simply
-        retry — the generation number is only consumed on success.
+        The body is serialized in memory first so its SHA-256 can lead
+        the file.  A failed save cleans up its tmp file and leaves the
+        newest generation (and therefore the resume point) untouched,
+        so the caller may simply retry — the generation number is only
+        consumed on success.
         """
         index = self._save_index
         self._save_index += 1
         fault = self.fault_plan.save_fault(index)
 
-        manifest = dict(manifest, version=CHECKPOINT_VERSION)
-        payload = {}
-        digests = {}
-        for name, array in arrays.items():
-            if name == _MANIFEST_KEY:
-                raise ValueError(f"array name {name!r} is reserved")
-            array = np.asarray(array)
-            payload[name] = array
-            digests[name] = _array_digest(array)
-        manifest["array_sha256"] = digests
-        payload[_MANIFEST_KEY] = json.dumps(manifest, sort_keys=True)
+        if _MANIFEST_KEY in arrays:
+            raise ValueError(f"array name {_MANIFEST_KEY!r} is reserved")
+        payload = dict(arrays)
+        payload[_MANIFEST_KEY] = json.dumps(
+            dict(manifest, version=CHECKPOINT_VERSION), sort_keys=True
+        )
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **payload)
-        data = buffer.getvalue()
+        body = buffer.getvalue()
+        data = _MAGIC + hashlib.sha256(body).digest() + body
 
-        journal, journal_error = self.read_journal()
-        if journal_error is not None:
-            self._incident(
-                "checkpoint.corrupt",
-                gen=None,
-                reason=f"checkpoints.json: {journal_error}",
-            )
-        if journal is not None:
-            entries = list(journal["generations"])
-            gen = journal["latest"] + 1
-        else:
-            # No (or unreadable) journal: never clobber a real
-            # generation file — pick up past the newest on disk.
-            files = self.generation_files()
-            entries = []
-            gen = (files[-1][0] if files else 0) + 1
-
+        self.directory.mkdir(parents=True, exist_ok=True)
+        files = self.generation_files()
+        gen = (files[-1][0] if files else 0) + 1
         path = self.generation_path(gen)
         tmp = path.with_suffix(".tmp.npz")
         to_write = data
         if fault is not None and fault.kind == "torn_write":
             # A lying disk: the rename promotes a silent truncation.
-            # The journal records the digest of the *full* payload, so
-            # the tear surfaces at the next load and rolls back.
+            # The header keeps the digest of the *full* body, so the
+            # tear surfaces at the next load and rolls back.
             to_write = data[: max(1, len(data) // 2)]
             self._fault_fired(fault)
         try:
@@ -359,62 +290,47 @@ class CheckpointStore:
             raise
         _fsync_path(self.directory)
 
-        entries.append(
-            {
-                "gen": gen,
-                "file": path.name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
-        entries.sort(key=lambda e: e["gen"])
-        kept, pruned = entries[-self.keep:], entries[: -self.keep]
-        self._write_journal(kept)
-        for entry in pruned:
-            (self.directory / entry["file"]).unlink(missing_ok=True)
+        for _, old in files[: max(0, len(files) + 1 - self.keep)]:
+            old.unlink(missing_ok=True)
 
         rot = self.fault_plan.gen_fault(gen)
         if rot is not None:
             flip_byte(path, rot.offset)
             self._fault_fired(rot)
 
-    def _read_generation(self, path: Path, entry: dict | None = None):
-        """Read + verify one generation; ``(manifest, arrays, data)``.
+    def _read_generation(self, path: Path):
+        """Read + verify one generation; ``(manifest, arrays)``.
 
-        Raises :class:`_CorruptGeneration` on any integrity failure and
-        plain :class:`ValueError` on a schema-version mismatch (which is
-        a code/state skew, not disk damage — never quarantined).
+        Raises :class:`_CorruptGeneration` on any integrity failure,
+        :class:`FileNotFoundError` when the file is gone (a live writer
+        pruned it), and plain :class:`ValueError` on a schema-version
+        mismatch (which is a code/state skew, not disk damage — never
+        quarantined).
         """
-        if not path.exists():
-            raise _CorruptGeneration("file missing")
         data = path.read_bytes()
-        if entry is not None:
-            expected_bytes = entry.get("bytes")
-            if expected_bytes is not None and len(data) != expected_bytes:
-                raise _CorruptGeneration(
-                    f"size {len(data)} != journaled {expected_bytes} "
-                    "(torn write?)"
-                )
-            expected_sha = entry.get("sha256")
-            if expected_sha is not None:
-                digest = hashlib.sha256(data).hexdigest()
-                if digest != expected_sha:
-                    raise _CorruptGeneration(
-                        "payload sha256 mismatch (journal "
-                        f"{expected_sha[:12]}…, file {digest[:12]}…)"
-                    )
+        if data.startswith(_ZIP_SIGNATURE):
+            raise ValueError(
+                f"{path.name} is a bare npz from before checkpoint "
+                f"version 5; it does not match this code's version "
+                f"{CHECKPOINT_VERSION} — start over with `run --fresh`"
+            )
+        if len(data) < _HEADER_BYTES or not data.startswith(_MAGIC):
+            raise _CorruptGeneration(
+                f"bad header in {len(data)} bytes (torn write or bitrot?)"
+            )
+        body = data[_HEADER_BYTES:]
+        if hashlib.sha256(body).digest() != data[len(_MAGIC):_HEADER_BYTES]:
+            raise _CorruptGeneration(
+                "body sha256 mismatch (torn write or bitrot?)"
+            )
         try:
-            with np.load(io.BytesIO(data)) as npz:
-                if _MANIFEST_KEY not in npz.files:
-                    raise _CorruptGeneration("no manifest in archive")
+            with np.load(io.BytesIO(body)) as npz:
                 manifest = json.loads(str(npz[_MANIFEST_KEY]))
                 arrays = {
                     name: npz[name]
                     for name in npz.files
                     if name != _MANIFEST_KEY
                 }
-        except _CorruptGeneration:
-            raise
         except Exception as exc:
             # BadZipFile, zlib.error, json/KeyError — an opaque parse
             # failure becomes a named integrity failure.
@@ -426,141 +342,85 @@ class CheckpointStore:
                 f"checkpoint version {manifest.get('version')!r} does "
                 f"not match this code's version {CHECKPOINT_VERSION}"
             )
-        expected = manifest.get("array_sha256")
-        if isinstance(expected, dict):
-            for name, array in arrays.items():
-                if expected.get(name) != _array_digest(array):
-                    raise _CorruptGeneration(
-                        f"array {name!r} digest mismatch"
-                    )
-        return manifest, arrays, data
+        return manifest, arrays
 
-    def verify_generation(self, path, entry: dict | None = None):
+    def verify_generation(self, path):
         """Verify one generation file; ``None`` or the failure reason."""
         try:
-            self._read_generation(Path(path), entry)
-        except (_CorruptGeneration, ValueError) as exc:
+            self._read_generation(Path(path))
+        except (_CorruptGeneration, ValueError, OSError) as exc:
             return str(exc)
         return None
 
     def quarantine(self, path) -> Path | None:
-        """Move a damaged file under ``quarantine/``; the new path."""
+        """Move a damaged file under ``quarantine/``; the new path, or
+        ``None`` when the file is already gone."""
         path = Path(path)
-        if not path.exists():
-            return None
         self.quarantine_dir.mkdir(exist_ok=True)
         target = self.quarantine_dir / path.name
         copy = 1
         while target.exists():
             target = self.quarantine_dir / f"{path.name}.{copy}"
             copy += 1
-        path.replace(target)
+        try:
+            path.replace(target)
+        except FileNotFoundError:
+            return None
         return target
 
     def load(self) -> tuple[dict, dict]:
         """Load the newest *intact* checkpoint as ``(manifest, arrays)``.
 
         Generations are verified newest-first; damaged ones are
-        quarantined (``checkpoint.corrupt`` incident) and the journal
-        rewound to the survivor (``checkpoint.rollback`` incident).  A
-        lost or damaged journal is rebuilt from the intact generation
-        files on disk.  Only when *no* generation survives does
-        :class:`CheckpointCorruption` propagate.
+        quarantined (``checkpoint.corrupt`` incident) and the load rolls
+        back to the survivor (``checkpoint.rollback`` incident).  A file
+        that vanished after listing was pruned by a live writer, not
+        damaged: the listing is simply taken again.  Only when *no*
+        generation survives does :class:`CheckpointCorruption`
+        propagate.
         """
-        journal, journal_error = self.read_journal()
-        if journal_error is not None:
-            self._incident(
-                "checkpoint.corrupt",
-                gen=None,
-                reason=f"checkpoints.json: {journal_error}",
-            )
-        if journal is not None:
-            candidates = [
-                (entry["gen"], self.directory / entry["file"], entry)
-                for entry in sorted(
-                    journal["generations"], key=lambda e: e["gen"]
-                )
-            ]
-        else:
-            candidates = [
-                (gen, path, None) for gen, path in self.generation_files()
-            ]
-        if not candidates:
-            raise FileNotFoundError(
-                f"no checkpoint under {self.directory} — nothing to resume"
-            )
-        newest = candidates[-1][0]
-
-        adopted = None
+        newest = 0
         quarantined = 0
-        for gen, path, entry in reversed(candidates):
-            try:
-                manifest, arrays, data = self._read_generation(path, entry)
-            except _CorruptGeneration as exc:
-                moved = self.quarantine(path)
-                quarantined += 1
-                self._incident(
-                    "checkpoint.corrupt",
-                    gen=gen,
-                    reason=str(exc),
-                    quarantined=moved.name if moved else None,
+        while True:
+            files = self.generation_files()
+            if not files and not quarantined:
+                raise FileNotFoundError(
+                    f"no checkpoint under {self.directory} — nothing to "
+                    "resume"
                 )
-                continue
-            adopted = (gen, manifest, arrays, data)
-            break
-        if adopted is None:
-            raise CheckpointCorruption(
-                f"every checkpoint generation under {self.directory} is "
-                f"corrupt ({quarantined} file(s) moved to "
-                f"{self.quarantine_dir.name}/) — audit with `python -m "
-                "repro.orchestrator verify`, or start over with "
-                "`run --fresh`"
-            )
-        gen, manifest, arrays, data = adopted
-
-        if journal is not None:
-            if gen != newest:
-                self._write_journal(
-                    [
-                        entry
-                        for entry in journal["generations"]
-                        if entry["gen"] <= gen
-                    ]
-                )
-        else:
-            # Journal lost: rebuild it from whatever verifies on disk.
-            survivors = []
-            for other_gen, path, _ in candidates:
-                if other_gen > gen:
+            if files:
+                newest = max(newest, files[-1][0])
+            for gen, path in reversed(files):
+                try:
+                    manifest, arrays = self._read_generation(path)
+                except FileNotFoundError:
+                    if self.generation_files() == files:
+                        raise
+                    break  # pruned after listing by a live writer
+                except _CorruptGeneration as exc:
+                    moved = self.quarantine(path)
+                    if moved is not None:
+                        quarantined += 1
+                    self._incident(
+                        "checkpoint.corrupt",
+                        gen=gen,
+                        reason=str(exc),
+                        quarantined=moved.name if moved else None,
+                    )
                     continue
-                if other_gen == gen:
-                    payload = data
-                else:
-                    try:
-                        _, _, payload = self._read_generation(path)
-                    except _CorruptGeneration as exc:
-                        moved = self.quarantine(path)
-                        self._incident(
-                            "checkpoint.corrupt",
-                            gen=other_gen,
-                            reason=str(exc),
-                            quarantined=moved.name if moved else None,
-                        )
-                        continue
-                survivors.append(
-                    {
-                        "gen": other_gen,
-                        "file": path.name,
-                        "sha256": hashlib.sha256(payload).hexdigest(),
-                        "bytes": len(payload),
-                    }
+                if gen != newest:
+                    self._incident(
+                        "checkpoint.rollback", from_gen=newest, to_gen=gen
+                    )
+                return manifest, arrays
+            else:
+                raise CheckpointCorruption(
+                    f"every checkpoint generation under {self.directory} "
+                    f"is corrupt ({quarantined} file(s) moved to "
+                    f"{self.quarantine_dir.name}/) — audit with `python "
+                    "-m repro.orchestrator verify`, or start over with "
+                    "`run --fresh`"
                 )
-            self._write_journal(survivors)
-        if gen != newest:
-            self._incident(
-                "checkpoint.rollback", from_gen=newest, to_gen=gen
-            )
-        return manifest, arrays
 
     def clear(self) -> None:
         """Drop every campaign artifact except the planned spec.
@@ -572,7 +432,6 @@ class CheckpointStore:
         """
         for _, path in self.generation_files():
             path.unlink(missing_ok=True)
-        self.journal_path.unlink(missing_ok=True)
         if self.quarantine_dir.is_dir():
             for path in self.quarantine_dir.iterdir():
                 path.unlink(missing_ok=True)
@@ -617,6 +476,7 @@ class CheckpointStore:
 
     @staticmethod
     def _write_json(path: Path, document: dict, durable: bool = True) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         try:
             with open(tmp, "w") as fh:
@@ -647,11 +507,11 @@ class CheckpointStore:
 
         Findings are ``{"artifact", "ok", "detail", "repaired"}``.
         With ``repair=True``, reparable damage is fixed in place:
-        corrupt generations are quarantined and dropped from the
-        journal, a lost/damaged journal is rebuilt from the intact
-        generations, unjournaled generation files and stray tmp files
-        are removed, and malformed derived documents (status, progress,
-        metrics — all regenerated by the next run/resume) are deleted.
+        corrupt generations are quarantined (the next load resumes from
+        the newest intact one), stray tmp files are removed, and
+        malformed derived documents (status, progress, metrics — all
+        regenerated by the next run/resume) are deleted.  A generation
+        of another checkpoint version is reported, never moved.
         ``campaign.json`` and ``events.jsonl`` are never modified: the
         spec is the store's source of truth and the event log is
         append-only history.
@@ -687,103 +547,30 @@ class CheckpointStore:
             except (ValueError, TypeError, KeyError) as exc:
                 finding("campaign.json", False, f"spec invalid: {exc}")
 
-        # The journal and its generations.
-        journal, journal_error = self.read_journal()
-        files = dict(self.generation_files())
-        journaled: set[int] = set()
-        survivors: list[dict] = []
-        journal_dirty = False
-        if journal_error is not None:
-            journal_dirty = True
+        # The generations: each file verifies itself.
+        files = self.generation_files()
+        if not files:
             finding(
-                "checkpoints.json",
-                False,
-                f"damaged journal ({journal_error})",
-                "rebuilt from intact generations" if repair else None,
+                "checkpoint.*.npz", True, "no checkpoints yet (campaign not run)"
             )
-        elif journal is None and files:
-            journal_dirty = True
-            finding(
-                "checkpoints.json",
-                False,
-                f"missing, but {len(files)} generation file(s) exist",
-                "rebuilt from intact generations" if repair else None,
-            )
-        elif journal is None:
-            finding(
-                "checkpoints.json",
-                True,
-                "no checkpoints yet (campaign not run)",
-            )
-        if journal is not None:
-            for entry in sorted(
-                journal["generations"], key=lambda e: e["gen"]
-            ):
-                journaled.add(entry["gen"])
-                path = self.directory / entry["file"]
-                error = self.verify_generation(path, entry)
-                if error is None:
-                    survivors.append(entry)
-                    finding(
-                        entry["file"],
-                        True,
-                        "payload sha256 + array digests verified",
-                    )
-                    continue
+        for _, path in files:
+            try:
+                self._read_generation(path)
+            except _CorruptGeneration as exc:
                 repaired = None
                 if repair:
-                    journal_dirty = True
                     moved = self.quarantine(path)
                     repaired = (
                         f"quarantined as {moved.relative_to(self.directory)}"
                         if moved
-                        else "dropped from journal"
+                        else "already gone"
                     )
-                finding(entry["file"], False, error, repaired)
-
-        # Generation files the journal does not know about: either the
-        # rebuild source (journal lost) or the debris of a crash
-        # between rename and journal commit (journal present).
-        for gen, path in sorted(files.items()):
-            if gen in journaled:
-                continue
-            error = self.verify_generation(path)
-            if journal is None and error is None:
-                repaired = None
-                if repair:
-                    data = path.read_bytes()
-                    survivors.append(
-                        {
-                            "gen": gen,
-                            "file": path.name,
-                            "sha256": hashlib.sha256(data).hexdigest(),
-                            "bytes": len(data),
-                        }
-                    )
-                    repaired = "journaled"
-                finding(path.name, False, "intact but not journaled",
-                        repaired)
-                continue
-            detail = (
-                "not journaled (crash before journal commit?)"
-                if error is None
-                else f"not journaled and corrupt ({error})"
-            )
-            repaired = None
-            if repair:
-                if error is None:
-                    path.unlink(missing_ok=True)
-                    repaired = "removed"
-                else:
-                    moved = self.quarantine(path)
-                    repaired = (
-                        f"quarantined as {moved.relative_to(self.directory)}"
-                        if moved
-                        else "removed"
-                    )
-            finding(path.name, False, detail, repaired)
-        if repair and journal_dirty:
-            self._write_journal(survivors)
+                finding(path.name, False, str(exc), repaired)
+            except (ValueError, OSError) as exc:
+                # Version skew or a vanished file: not disk damage.
+                finding(path.name, False, str(exc))
+            else:
+                finding(path.name, True, "header + body sha256 verified")
 
         # Orphaned tmp files.
         strays = sorted(

@@ -4,8 +4,9 @@ The campaign directory is the unit of state: ``plan`` writes the
 resolved spec there, ``run`` executes it from scratch (checkpointing
 after every shard), ``resume`` continues from the latest checkpoint,
 ``status`` prints the deterministic status document, and ``verify``
-fscks every artifact — spec, checkpoint generations (against their
-journaled digests), status, progress, metrics, events — reporting
+fscks every artifact — spec, checkpoint generations (each against the
+body digest in its own header), status, progress, metrics, events —
+reporting
 per-artifact findings and, with ``--repair``, quarantining or removing
 the damage.  ``run`` and ``resume`` translate SIGTERM/SIGINT into a
 clean exit — the durable checkpoint already on disk is the resume
@@ -159,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="audit every campaign artifact (checkpoint fsck)",
         description="Audit the campaign directory: the spec, every "
-        "checkpoint generation against its journaled SHA-256 and "
-        "per-array digests, the journal itself, stray tmp files, and "
-        "the status/progress/metrics/events documents.  Exits 0 when "
+        "checkpoint generation against the body SHA-256 in its own "
+        "header, stray tmp files, and the status/progress/metrics/"
+        "events documents.  Exits 0 when "
         "everything verifies, 1 with a per-artifact report otherwise.",
     )
     verify.add_argument("--dir", required=True)
@@ -169,10 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair",
         action="store_true",
         help="fix what can be fixed: quarantine corrupt generations "
-        "and rewind the journal past them, rebuild a lost journal "
-        "from the intact generations, remove stray tmp files and "
-        "malformed derived documents (the exit code still reports "
-        "that problems were found)",
+        "(the next resume rolls back to the newest intact one), "
+        "remove stray tmp files and malformed derived documents (the "
+        "exit code still reports that problems were found)",
     )
     verify.add_argument(
         "--json",

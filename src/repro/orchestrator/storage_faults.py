@@ -18,11 +18,11 @@ Plan syntax (entries separated by ``,`` or ``;``)::
     bitrot@gen-N[:offset=K]  flip one byte of generation N at rest
 
     torn_write@save-2        save 2 promotes a silently truncated
-                             payload (the journal records the digest
-                             of the full bytes, so the tear is caught
-                             at the next load and rolled back)
+                             file (its header keeps the digest of the
+                             full body, so the tear is caught at the
+                             next load and rolled back)
     bitrot@gen-3             generation 3 rots on disk after it is
-                             journaled (offset defaults to mid-file)
+                             promoted (offset defaults to mid-file)
     enospc@save-1            save 1 raises ENOSPC mid-write; the tmp
                              file is cleaned up and the save retried
     fsync_fail@save-0        save 0's fsync raises EIO (a dying disk)
@@ -79,7 +79,7 @@ class SimulatedCrash(RuntimeError):
     Deliberately *not* an :class:`OSError`: the campaign's bounded
     save-retry path must not swallow it — a crash kills the process,
     and only a ``resume`` (which sweeps the orphaned tmp and reloads
-    the journal) may continue the campaign.
+    the newest generation) may continue the campaign.
     """
 
 

@@ -1,21 +1,24 @@
-"""Generation-journaled checkpoint store: digests, rollback, and fsck.
+"""Self-verifying checkpoint generations: digests, rollback, and fsck.
 
 Unit coverage for the storage-hardened :class:`CheckpointStore`: the
-``checkpoint.<gen>.npz`` layout and its ``checkpoints.json`` journal,
-keep-N pruning, integrity verification (whole-payload SHA-256 +
-per-array digests), quarantine-and-rollback on corruption, journal
-rebuild, the failed-write cleanup guarantees, and the
+``checkpoint.<gen>.npz`` layout (magic + body SHA-256 + npz body),
+keep-N pruning, whole-file integrity (every flipped byte and every
+truncation is caught), quarantine-and-rollback on corruption, loads
+racing a live writer, the failed-write cleanup guarantees, and the
 ``verify [--repair]`` CLI.  Campaign-level recovery (byte-identity
 under fault plans) lives in ``test_storage_chaos.py``.
 """
 
-import hashlib
 import json
 import math
+import os
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.orchestrator.checkpoint import (
@@ -37,7 +40,7 @@ def _save_n(store, n, start=0):
 
 
 # ---------------------------------------------------------------------------
-# Generation layout and journal
+# Generation layout
 # ---------------------------------------------------------------------------
 
 
@@ -46,26 +49,18 @@ class TestGenerations:
         store = CheckpointStore(tmp_path, keep=4)
         _save_n(store, 3)
         assert [g for g, _ in store.generation_files()] == [1, 2, 3]
-        journal, error = store.read_journal()
-        assert error is None
-        assert journal["latest"] == 3
-        assert [e["gen"] for e in journal["generations"]] == [1, 2, 3]
-
-    def test_journal_digests_match_the_files(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=2)
-        _save_n(store, 2)
-        journal, _ = store.read_journal()
-        for entry in journal["generations"]:
-            data = (tmp_path / entry["file"]).read_bytes()
-            assert entry["bytes"] == len(data)
-            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        # The generation files are the whole record: no side index.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.1.npz", "checkpoint.2.npz", "checkpoint.3.npz",
+        ]
 
     def test_keep_window_prunes_old_generations(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         _save_n(store, 5)
         assert [g for g, _ in store.generation_files()] == [4, 5]
-        journal, _ = store.read_journal()
-        assert [e["gen"] for e in journal["generations"]] == [4, 5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.4.npz", "checkpoint.5.npz",
+        ]
 
     def test_keep_env_knob_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CKPT_KEEP", "3")
@@ -89,14 +84,33 @@ class TestGenerations:
         _save_n(store, 2)
         assert store.checkpoint_path == store.generation_path(2)
 
-    def test_manifest_carries_per_array_digests(self, tmp_path):
+    def test_save_round_trips_manifest_and_arrays(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _save_n(store, 1)
         manifest, arrays = store.load()
-        assert manifest["version"] == CHECKPOINT_VERSION
-        digest = manifest["array_sha256"]["mask"]
-        assert isinstance(digest, str) and len(digest) == 64
-        assert set(manifest["array_sha256"]) == set(arrays)
+        assert manifest == {
+            "spec": {}, "ordinal": 0, "version": CHECKPOINT_VERSION,
+        }
+        assert list(arrays) == ["mask"]
+        assert np.array_equal(arrays["mask"], np.arange(6))
+
+    def test_one_save_issues_two_fsyncs(self, tmp_path, monkeypatch):
+        # The generation file and its directory; nothing else.
+        store = CheckpointStore(tmp_path, keep=2)
+        _save_n(store, 2)  # a save that also prunes costs the same
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(
+            "repro.orchestrator.checkpoint.os.fsync", counting_fsync
+        )
+        _save_n(store, 1, start=2)
+        assert len(calls) == 2
+        assert [g for g, _ in store.generation_files()] == [2, 3]
 
     def test_failed_save_consumes_no_generation_number(self, tmp_path):
         store = CheckpointStore(
@@ -114,8 +128,7 @@ class TestGenerations:
         _save_n(CheckpointStore(tmp_path, keep=2), 2)
         reopened = CheckpointStore(tmp_path, keep=2)
         _save_n(reopened, 1, start=2)
-        journal, _ = reopened.read_journal()
-        assert journal["latest"] == 3
+        assert [g for g, _ in reopened.generation_files()] == [2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +150,7 @@ class TestRollback:
         assert types == ["checkpoint.corrupt", "checkpoint.rollback"]
         rollback = store.incidents[-1]
         assert rollback["from_gen"] == 3 and rollback["to_gen"] == 2
-        journal, _ = store.read_journal()
-        assert journal["latest"] == 2
+        assert store.checkpoint_path == store.generation_path(2)
 
     def test_next_save_after_rollback_reuses_the_generation(
         self, tmp_path
@@ -148,13 +160,11 @@ class TestRollback:
         store = CheckpointStore(tmp_path, keep=3)
         store.load()
         _save_n(store, 1, start=2)  # replays the lost 3rd save
-        journal, _ = store.read_journal()
-        assert journal["latest"] == 3
-        assert store.verify_generation(
-            store.generation_path(3), journal["generations"][-1]
-        ) is None
+        assert store.checkpoint_path == store.generation_path(3)
+        assert store.verify_generation(store.generation_path(3)) is None
 
     def test_truncation_caught_by_journaled_size(self, tmp_path):
+        # The header records the body digest; a tear fails it.
         _save_n(CheckpointStore(tmp_path, keep=2), 2)
         path = tmp_path / "checkpoint.2.npz"
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -175,26 +185,53 @@ class TestRollback:
         held = sorted(p.name for p in store.quarantine_dir.iterdir())
         assert held == ["checkpoint.1.npz", "checkpoint.2.npz"]
 
-    def test_lost_journal_rebuilt_from_disk(self, tmp_path):
-        _save_n(CheckpointStore(tmp_path, keep=2), 3)
-        (tmp_path / "checkpoints.json").unlink()
-        store = CheckpointStore(tmp_path, keep=2)
-        manifest, _ = store.load()
-        assert manifest["ordinal"] == 2
-        journal, error = store.read_journal()
-        assert error is None
-        assert journal["latest"] == 3
+    def test_load_racing_a_pruning_writer_lists_again(self, tmp_path):
+        # Regression: a live reader (`status --follow`) lists gens 1-2,
+        # then the writer saves twice and prunes both before the reader
+        # reads them.  Vanished files are not corruption: list again.
+        writer = CheckpointStore(tmp_path, keep=2)
+        _save_n(writer, 2)
+        reader = CheckpointStore(tmp_path, keep=2)
+        read = reader._read_generation
+        calls = []
 
-    def test_corrupt_journal_falls_back_to_scanning(self, tmp_path):
+        def racing_read(path):
+            if not calls:
+                _save_n(writer, 2, start=2)
+            calls.append(path.name)
+            return read(path)
+
+        reader._read_generation = racing_read
+        manifest, arrays = reader.load()
+        assert manifest["ordinal"] == 3
+        assert np.array_equal(arrays["mask"], np.arange(6) + 3)
+        assert calls == ["checkpoint.2.npz", "checkpoint.4.npz"]
+        assert reader.incidents == []
+        assert not reader.quarantine_dir.exists()
+
+    def test_corruption_error_counts_only_files_moved(self, tmp_path):
+        # Both generations are corrupt, but gen 1 vanishes before it
+        # can be quarantined: the error must not claim it was moved.
         _save_n(CheckpointStore(tmp_path, keep=2), 2)
-        (tmp_path / "checkpoints.json").write_text("{not json")
+        flip_byte(tmp_path / "checkpoint.1.npz")
+        flip_byte(tmp_path / "checkpoint.2.npz")
         store = CheckpointStore(tmp_path, keep=2)
-        manifest, _ = store.load()
-        assert manifest["ordinal"] == 1
-        corrupt = store.incidents[0]
-        assert corrupt["type"] == "checkpoint.corrupt"
-        assert corrupt["gen"] is None
-        assert "checkpoints.json" in corrupt["reason"]
+        read = store._read_generation
+
+        def read_then_vanish(path):
+            try:
+                return read(path)
+            finally:
+                if path.name == "checkpoint.1.npz":
+                    path.unlink()
+
+        store._read_generation = read_then_vanish
+        with pytest.raises(
+            CheckpointCorruption, match=r"\(1 file\(s\) moved"
+        ):
+            store.load()
+        held = [p.name for p in store.quarantine_dir.iterdir()]
+        assert held == ["checkpoint.2.npz"]
 
     def test_version_mismatch_is_an_error_not_corruption(
         self, tmp_path
@@ -230,9 +267,9 @@ class TestClear:
         store.clear()
         assert not store.has_checkpoint()
         assert not store.status_path.exists()
-        assert not store.journal_path.exists()
         assert not store.progress_path.exists()
         assert not store.quarantine_dir.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFailedWriteCleanup:
@@ -320,8 +357,7 @@ class TestVerifyCLI:
         assert (
             tmp_path / "quarantine" / "checkpoint.2.npz"
         ).exists()
-        journal, _ = store.read_journal()
-        assert journal["latest"] == 1
+        assert store.checkpoint_path == store.generation_path(1)
         capsys.readouterr()
         assert main(["verify", "--dir", str(tmp_path)]) == 0
 
@@ -339,17 +375,14 @@ class TestVerifyCLI:
         capsys.readouterr()
         assert main(["verify", "--dir", str(tmp_path)]) == 0
 
-    def test_lost_journal_rebuilt_on_repair(self, tmp_path, capsys):
-        store = _planned_store(tmp_path)
-        _save_n(store, 2)
-        store.journal_path.unlink()
-        assert main(["verify", "--dir", str(tmp_path)]) == 1
-        assert store.read_journal() == (None, None)
-        assert main(["verify", "--dir", str(tmp_path), "--repair"]) == 1
-        journal, error = store.read_journal()
-        assert error is None and journal["latest"] == 2
-        capsys.readouterr()
-        assert main(["verify", "--dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("command", ["verify", "status"])
+    def test_missing_directory_fails_and_creates_nothing(
+        self, tmp_path, capsys, command
+    ):
+        # Regression: opening the store used to mkdir the directory, so
+        # a typo'd --dir left an empty campaign directory behind.
+        assert main([command, "--dir", str(tmp_path / "typo" / "x")]) != 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_findings_are_machine_readable(self, tmp_path, capsys):
         store = _planned_store(tmp_path)
@@ -360,6 +393,63 @@ class TestVerifyCLI:
         assert {"artifact", "ok", "detail", "repaired"} == set(
             findings[0]
         )
+
+
+# ---------------------------------------------------------------------------
+# Whole-file integrity: Hypothesis properties
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _two_generations() -> tuple[bytes, bytes]:
+    """The bytes of gens 1 and 2 of a keep=2 store (built once)."""
+    with tempfile.TemporaryDirectory() as directory:
+        store = CheckpointStore(directory, keep=2)
+        _save_n(store, 2)
+        return tuple(
+            path.read_bytes() for _, path in store.generation_files()
+        )
+
+
+def _assert_rolls_back_past(damaged: bytes) -> None:
+    """A keep=2 store whose newest generation is ``damaged`` loads gen
+    1 intact and holds the damaged bytes in quarantine."""
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        (directory / "checkpoint.1.npz").write_bytes(_two_generations()[0])
+        (directory / "checkpoint.2.npz").write_bytes(damaged)
+        store = CheckpointStore(directory, keep=2)
+        manifest, arrays = store.load()
+        assert manifest == {
+            "spec": {}, "ordinal": 0, "version": CHECKPOINT_VERSION,
+        }
+        assert list(arrays) == ["mask"]
+        assert np.array_equal(arrays["mask"], np.arange(6))
+        held = store.quarantine_dir / "checkpoint.2.npz"
+        assert [p.name for p in store.quarantine_dir.iterdir()] == [
+            held.name
+        ]
+        assert held.read_bytes() == damaged
+        assert [i["type"] for i in store.incidents] == [
+            "checkpoint.corrupt", "checkpoint.rollback",
+        ]
+
+
+class TestWholeFileIntegrity:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_any_changed_byte_quarantines_and_rolls_back(self, data):
+        newest = bytearray(_two_generations()[1])
+        offset = data.draw(st.integers(0, len(newest) - 1), label="offset")
+        newest[offset] ^= data.draw(st.integers(1, 255), label="xor")
+        _assert_rolls_back_past(bytes(newest))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_any_truncation_quarantines_and_rolls_back(self, data):
+        newest = _two_generations()[1]
+        length = data.draw(st.integers(0, len(newest) - 1), label="length")
+        _assert_rolls_back_past(newest[:length])
 
 
 # ---------------------------------------------------------------------------

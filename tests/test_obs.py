@@ -376,8 +376,8 @@ def test_fresh_run_clears_stale_observability(tmp_path, monkeypatch):
     assert not (directory / "events.jsonl").exists()
     assert not (directory / "progress.json").exists()
     assert not store.has_checkpoint()
-    assert not store.journal_path.exists()
     assert not (directory / "status.json").exists()
+    assert [p.name for p in directory.iterdir()] == ["campaign.json"]
 
 
 # ---------------------------------------------------------------------------

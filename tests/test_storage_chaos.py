@@ -72,13 +72,10 @@ def _resume(directory):
 
 
 def _final_bytes(directory):
-    """The deterministic artifacts: journaled generations + status."""
-    store = CheckpointStore(directory)
-    journal, error = store.read_journal()
-    assert error is None, error
+    """The deterministic artifacts: generation files + status."""
     generations = {
-        entry["gen"]: (directory / entry["file"]).read_bytes()
-        for entry in journal["generations"]
+        gen: path.read_bytes()
+        for gen, path in CheckpointStore(directory).generation_files()
     }
     return generations, (directory / "status.json").read_bytes()
 
@@ -149,8 +146,8 @@ class TestRecovery:
         self, tmp_path, monkeypatch, reference
     ):
         # The tear is silent at save time (the rename promotes a
-        # truncated payload) — the journaled digest catches it at the
-        # next load, which quarantines gen 3 and rolls back to gen 2.
+        # truncated payload) — the header's body digest catches it at
+        # the next load, which quarantines gen 3 and rolls back to gen 2.
         monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "torn_write@save-2")
         with pytest.raises(_Killed):
             _run(tmp_path, on_checkpoint=_kill_at(3))
@@ -177,7 +174,7 @@ class TestRecovery:
     ):
         # The "process dies at the promote rename" fault: the tmp file
         # is deliberately left behind (real crash semantics) and the
-        # journal never learned about the generation.
+        # generation was never promoted.
         monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "rename_crash@save-2")
         with pytest.raises(SimulatedCrash):
             _run(tmp_path)
