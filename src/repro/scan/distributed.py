@@ -48,49 +48,36 @@ Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
 Determinism and failure semantics: every shard's ``ScanResult`` is a
 pure function of the shard description, so *which* worker drains a
 shard (or how often it is retried, or whether two workers race it)
-never changes the outcome.  The coordinator survives the full chaos
-matrix of :mod:`repro.scan.faults`:
+never changes the outcome.  :class:`ShardSchedule` is the single owner
+of the shard rules — a pure state machine with no sockets and no clock:
 
-- a worker that **dies** (mid-shard, mid-result, or before saying
-  hello) has its shard re-queued and a replacement spawned;
-- a worker that sends a **malformed, truncated, or oversized frame**
-  is dropped — just that worker — and charged to the failure budget;
-- a worker that **hangs or stalls** past the per-shard attempt
-  deadline has its shard *speculatively re-dispatched* to an idle
-  worker; the first result wins, late duplicates are discarded, and a
-  worker far past its deadline is killed outright;
-- **respawns back off exponentially** (deterministic, no jitter), and
-  a crash-looping replacement fleet trips a detector that *degrades*
-  the fleet — the wave finishes on the survivors instead of
-  tight-loop respawning, surfaced in :attr:`Coordinator.telemetry`;
-- only when no worker remains and none can be spawned does the run
-  abort, with a bounded tail of each dead worker's stderr in the
-  error message.
+- a lost attempt (a worker that **dies**, or sends a **malformed,
+  truncated, oversized or counter-less frame**) is re-queued at the
+  front unless another worker still covers it;
+- an attempt past the per-shard **deadline** is *speculatively*
+  raced on an idle worker (at most ``_MAX_SPECULATION`` live copies),
+  and killed at ``_HARD_KILL_FACTOR`` deadlines;
+- the **first result wins**, late duplicates are discarded, and a
+  finished shard is never handed out again;
+- results are **released strictly in shard order**, so the
+  orchestrator's ``on_shard`` checkpoint stream (and therefore
+  kill-and-resume byte-identity) is preserved under every fault.
 
-Throughout, results are released strictly in shard order, so the
-orchestrator's ``on_shard`` checkpoint stream (and therefore
-kill-and-resume byte-identity) is preserved under every fault.
+:class:`Coordinator` is the I/O shell around it: it dials, spawns and
+drops workers, charges a failure budget, **backs respawns off**
+exponentially and *degrades* a crash-looping fleet to its survivors
+(:attr:`Coordinator.telemetry`).  Only when no worker remains and none
+can be spawned does the run abort, with each dead worker's stderr tail.
+A peer that was never a fleet member — a clean pre-hello EOF from a
+port scanner, or a failed authentication — is logged and ignored
+(``stray_disconnects`` / ``auth_rejects``), while a *garbled* hello and
+every failure of an initialized worker still charge the budget: a
+hostile network can never wedge a healthy run, but genuine collapse
+still aborts loudly.
 
-Failure-budget accounting draws one safety line: a peer that was never
-a fleet member — a clean pre-hello EOF from a port scanner or health
-checker, or a connection that fails authentication — is logged and
-ignored (``stray_disconnects`` / ``auth_rejects`` telemetry), while a
-*garbled* hello and every failure of an initialized worker still
-charge the budget.  A noisy or hostile network can therefore never
-wedge a healthy run, but genuine infrastructure collapse still aborts
-loudly.
-
-Knobs: ``REPRO_DIST_WORKERS`` (fleet size, spawned + remote; default
-one per shard capped at the CPU count plus the address book),
-``REPRO_DIST_ADDRESS_BOOK`` (``host:port,host:port`` of pre-started
-``--listen`` workers), ``REPRO_DIST_SECRET`` (shared HMAC key; unset
-disables the challenge/response), ``REPRO_FAULT_PLAN`` (declarative
-fault injection; see :mod:`repro.scan.faults`),
-``REPRO_DIST_SHARD_DEADLINE``
-(per-shard attempt deadline, default 30 s; 0 disables),
-``REPRO_DIST_RESPAWN_BASE`` / ``REPRO_DIST_CRASH_LOOP`` (respawn
-backoff base and crash-loop threshold); none of these change any
-result.
+The fleet knobs in :mod:`repro.env` (workers, address book, secret,
+fault plan, shard deadline, respawn backoff) size, secure and stress
+the fleet; none of them changes any result.
 """
 
 from __future__ import annotations
@@ -133,6 +120,7 @@ from repro.scan.faults import RespawnGovernor, deadline_action
 
 __all__ = [
     "FrameStream",
+    "ShardSchedule",
     "Coordinator",
     "distributed_executor",
     "worker_main",
@@ -177,6 +165,13 @@ _DEFAULT_STALL = 1.0
 
 #: Constructor sentinel: resolve the knob from the environment.
 _ENV = object()
+
+
+def _knob(value, resolver):
+    """``_ENV``: the environment's value; ``None``: off; else parsed."""
+    if value is _ENV:
+        return resolver()
+    return None if value is None else resolver(value)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +220,21 @@ def _auth_proof(secret: str, role: str, nonce_c: str, nonce_w: str) -> str:
     """
     message = f"{role}:{nonce_c}:{nonce_w}".encode()
     return hmac.new(secret.encode(), message, hashlib.sha256).hexdigest()
+
+
+def _maybe(convert, value):
+    """``convert(value)``, passing ``None`` through."""
+    return None if value is None else convert(value)
+
+
+def _hello_pid(hello):
+    """The pid a hello frame announces, or ``None`` when it is garbled."""
+    if not isinstance(hello, dict) or hello.get("type") != "hello":
+        return None
+    try:
+        return int(hello.get("pid", -1))
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 class FrameStream:
@@ -288,63 +298,176 @@ class FrameStream:
 
 
 # ---------------------------------------------------------------------------
+# Shard schedule
+# ---------------------------------------------------------------------------
+
+
+class ShardSchedule:
+    """Every shard decision of one run, as a pure state machine.
+
+    Owns the queue of indices ``0 .. shards-1``, which worker holds
+    which index and since when, attempts per index, first-result-wins,
+    speculation past ``deadline`` and the in-order release cursor.
+    Workers are opaque hashable keys; time is the ``now`` the caller
+    passes — no I/O and no clock, like :class:`RespawnGovernor`.
+    Every unreleased index is always pending, held or *finished* (its
+    first result landed), so nothing is lost and nothing runs twice.
+    """
+
+    def __init__(self, shards: int, deadline: float | None = None):
+        self.total = shards
+        self.deadline = deadline
+        self.released = 0  # the release cursor
+        self._pending = deque(range(shards))
+        self._held: dict = {}  # worker -> (index, taken at)
+        self._attempts: dict[int, int] = {}
+        self._results: dict = {}  # finished, not yet released
+
+    @property
+    def pending(self) -> tuple:
+        """The queue, front first (may hold finished indices)."""
+        return tuple(self._pending)
+
+    @property
+    def done(self) -> bool:
+        return self.released >= self.total
+
+    def holding(self, worker):
+        held = self._held.get(worker)
+        return None if held is None else held[0]
+
+    def copies(self, index: int) -> int:
+        return sum(1 for i, _ in self._held.values() if i == index)
+
+    def finished(self, index: int) -> bool:
+        return index < self.released or index in self._results
+
+    def take(self, worker, now: float):
+        """``(index, attempt)`` for an idle ``worker``, else ``None``.
+
+        Skips queue entries that finished before dispatch (a
+        speculative copy that lost the race).
+        """
+        if worker in self._held:
+            return None
+        while self._pending and self.finished(self._pending[0]):
+            self._pending.popleft()
+        if not self._pending:
+            return None
+        index = self._pending.popleft()
+        attempt = self._attempts.get(index, 0)
+        self._attempts[index] = attempt + 1
+        self._held[worker] = (index, now)
+        return index, attempt
+
+    def undo(self, worker) -> None:
+        """Roll back ``worker``'s take: its send failed, nothing ran."""
+        index, _ = self._held.pop(worker)
+        self._attempts[index] -= 1
+        self._pending.appendleft(index)
+
+    def lose(self, worker):
+        """``worker`` is gone: return its index, re-queued at the front
+        (the next dispatch, keeping the release window small) unless it
+        finished, is queued, or another worker still holds it."""
+        held = self._held.pop(worker, None)
+        if held is None:
+            return None
+        index = held[0]
+        if not (
+            self.finished(index)
+            or index in self._pending
+            or self.copies(index)
+        ):
+            self._pending.appendleft(index)
+        return index
+
+    def finish(self, worker, index, result) -> str:
+        """``"first"`` (kept), ``"duplicate"`` (discarded, the worker is
+        idle again) or ``"stale"`` (``worker`` does not hold ``index``;
+        nothing changes)."""
+        held = self._held.get(worker)
+        if held is None or held[0] != index:
+            return "stale"
+        del self._held[worker]
+        if self.finished(index):
+            return "duplicate"
+        self._results[index] = result
+        return "first"
+
+    def overdue(self, now: float, workers):
+        """Lazily yield ``(worker, index, held_s, action)`` for holders
+        past the deadline, in ``workers`` order, so the caller can act
+        on each before the next is judged.  ``"speculate"`` comes only
+        when a copy may race (unfinished, not queued, below
+        ``_MAX_SPECULATION`` copies) and is already queued first;
+        ``"kill"`` is :func:`deadline_action`'s hard-kill verdict."""
+        for worker in workers:
+            held = self._held.get(worker)
+            if held is None:
+                continue
+            index, since = held
+            action = deadline_action(
+                now, since, self.deadline, _HARD_KILL_FACTOR
+            )
+            if action == "ok":
+                continue
+            if action == "speculate":
+                if (
+                    self.finished(index)
+                    or index in self._pending
+                    or self.copies(index) >= _MAX_SPECULATION
+                ):
+                    continue
+                self._pending.appendleft(index)
+            yield worker, index, now - since, action
+
+    def release(self) -> list:
+        """Results releasable in index order; advances the cursor."""
+        ready = []
+        while self.released in self._results:
+            ready.append(self._results.pop(self.released))
+            self.released += 1
+        return ready
+
+
+# ---------------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------------
 
 
 class _Worker:
-    """One connected worker: its stream, process, and assigned shard."""
+    """One connected worker: its stream, process, and armed fault."""
 
-    __slots__ = (
-        "stream", "pid", "origin", "assigned", "assigned_at",
-        "fault_kind",
-    )
+    __slots__ = ("stream", "pid", "origin", "fault_kind")
 
     def __init__(self, stream: FrameStream, pid: int, origin=None):
         self.stream = stream
         self.pid = pid
         self.origin = origin  # (host, port) book entry; None = accepted
-        self.assigned = None  # local queue index, or None when idle
-        self.assigned_at = 0.0  # coordinator clock at dispatch
         self.fault_kind = None  # fault armed on the in-flight dispatch
 
 
 class Coordinator:
-    """Drive N socket workers over a shard work queue, in-order results.
+    """Drive N socket workers through a :class:`ShardSchedule`.
 
     ``worker_args`` is the ``(responsive_values, batch_size,
     block_state, protocol)`` tuple shared by every executor.
     ``workers=None`` sizes the fleet at one worker per shard, capped at
-    the CPU count plus the address book.
+    the CPU count plus the address book.  Every ``address_book`` entry
+    is dialed out to — and *re*-dialed on a short cadence, so a remote
+    worker that starts late, or whose session dropped, joins mid-wave;
+    the rest of the fleet is spawned as local children.  With a
+    ``secret`` every connection must pass the mutual HMAC-SHA256
+    challenge/response before init; rejects never charge the budget.
 
-    Fleet composition: every ``address_book`` entry (default
-    ``$REPRO_DIST_ADDRESS_BOOK``) is dialed out to — and *re*-dialed on
-    a short cadence, so a remote worker that starts late, or comes back
-    after its coordinator session dropped, joins mid-wave.  The
-    remainder of the fleet is spawned as local child processes.  When
-    ``secret`` (default ``$REPRO_DIST_SECRET``) is set, every
-    connection — accepted or dialed — must complete the mutual
-    HMAC-SHA256 challenge/response before it receives init; rejects are
-    counted in ``auth_rejects`` and never charge the failure budget.
-    Passing ``secret=None`` / ``address_book=None`` explicitly disables
-    the feature even when the env var is set.
-
-    Chaos and recovery knobs (each defaults to its ``repro.env``
-    resolution, so env vars apply unless a test passes a value):
-
-    - ``fault_plan`` — a :class:`~repro.scan.faults.FaultPlan` (or plan
-      string) of injected faults; default ``$REPRO_FAULT_PLAN``.
-    - ``shard_deadline`` — seconds one attempt may hold a shard before
-      it is speculatively re-dispatched to an idle worker (first
-      result wins, duplicates discarded); ``None`` disables.
-    - ``respawn_base`` / ``crash_loop_threshold`` — exponential-backoff
-      base for replacement spawns and the consecutive spawn-failure
-      count that degrades the fleet to its survivors.
-    - ``timeout`` — the global no-progress watchdog (backstop).
-
-    After (or during) a run, :attr:`telemetry` reports failures,
-    respawns, speculative re-dispatches, discarded duplicates, and
-    whether the fleet degraded.
+    Each knob argument (``fault_plan``, ``shard_deadline``,
+    ``respawn_base``, ``crash_loop_threshold``, ``address_book``,
+    ``secret``) defaults to its :mod:`repro.env` resolution (so does
+    ``fault_plan=None``); an explicit ``None`` deadline, respawn base,
+    book or secret switches that feature off even when its env var is
+    set.  ``timeout`` is the no-progress watchdog.  :attr:`telemetry`
+    reports failures, respawns, speculation, duplicates and degradation.
     """
 
     def __init__(
@@ -362,39 +485,18 @@ class Coordinator:
     ):
         self.worker_args = worker_args
         self.workers = workers
-        if address_book is _ENV:
-            self.address_book = dist_address_book()
-        elif address_book is None:
-            self.address_book = ()
-        else:
-            self.address_book = dist_address_book(address_book)
-        if secret is _ENV:
-            self.secret = dist_secret()
-        elif secret is None:
-            self.secret = None
-        else:
-            self.secret = dist_secret(secret)
+        self.address_book = _knob(address_book, dist_address_book) or ()
+        self.secret = _knob(secret, dist_secret)
         self.fault_plan = _env_fault_plan(fault_plan)
-        self.shard_deadline = (
-            dist_shard_deadline()
-            if shard_deadline is _ENV
-            else shard_deadline
-        )
+        self.shard_deadline = _knob(shard_deadline, dist_shard_deadline)
         self.timeout = timeout
         self._governor = RespawnGovernor(
-            base=(
-                dist_respawn_base()
-                if respawn_base is _ENV
-                else respawn_base
-            ),
-            crash_loop_threshold=(
-                dist_crash_loop_threshold()
-                if crash_loop_threshold is _ENV
-                else crash_loop_threshold
+            base=_knob(respawn_base, dist_respawn_base),
+            crash_loop_threshold=_knob(
+                crash_loop_threshold, dist_crash_loop_threshold
             ),
         )
         self._clock = clock
-        self.failures = 0
         self.telemetry = {
             "failures": 0,
             "respawns": 0,
@@ -417,14 +519,12 @@ class Coordinator:
         self._live: list[_Worker] = []
         self._init_message = None
         self._targets = ()
-        self._results: dict[int, ScanResult] = {}
-        self._attempts: dict[int, int] = {}
+        self._schedule = ShardSchedule(0, self.shard_deadline)
         self._max_failures = 8
         self._last_failure = ""
         self._spawn_ordinal = 0
         self._spawn_backlog = 0
         self._next_spawn_at = 0.0
-        self._degraded = False
         self._stderr_files: dict[int, object] = {}
         self._stderr_tails: deque = deque(maxlen=8)
         #: Address-book entries owed a (re)dial, mapped to the clock
@@ -443,7 +543,7 @@ class Coordinator:
     def close(self) -> None:
         """Tear everything down; safe to call twice."""
         collect_stats = obs.get_registry() is not None
-        for worker in self._live:
+        for worker in list(self._live):
             try:
                 worker.stream.send({"type": "shutdown"})
                 if collect_stats:
@@ -453,18 +553,12 @@ class Coordinator:
                     # outside a metrics scope.
                     worker.stream.sock.settimeout(0.25)
                     reply = worker.stream.recv()
-                    if (
-                        isinstance(reply, dict)
-                        and reply.get("type") == "stats"
-                    ):
-                        self._absorb_stats(
-                            worker.pid, reply.get("stats")
-                        )
+                    if (isinstance(reply, dict)
+                            and reply.get("type") == "stats"):
+                        self._absorb_stats(worker.pid, reply.get("stats"))
             except (OSError, ValueError):
                 pass
-            self._flush_worker_bytes(worker)
-            worker.stream.close()
-        self._live = []
+            self._detach(worker)
         if self._selector is not None:
             self._selector.close()
             self._selector = None
@@ -501,13 +595,8 @@ class Coordinator:
     def _spawn(self, first_generation: bool) -> None:
         """Launch one worker process pointed at the coordinator socket."""
         port = self._listener.getsockname()[1]
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.scan.distributed",
-            "--connect",
-            f"127.0.0.1:{port}",
-        ]
+        argv = [sys.executable, "-m", "repro.scan.distributed",
+                "--connect", f"127.0.0.1:{port}"]
         ordinal = self._spawn_ordinal
         self._spawn_ordinal += 1
         spec = self.fault_plan.spawn_fault(ordinal)
@@ -560,12 +649,12 @@ class Coordinator:
 
     def _request_spawn(self) -> None:
         """Ask for one replacement; honored by :meth:`_pump_spawns`."""
-        if not self._degraded:
+        if not self.telemetry["degraded"]:
             self._spawn_backlog += 1
 
     def _pump_spawns(self) -> None:
         """Spawn owed replacements, backoff-paced; degrade on crash loop."""
-        if not self._spawn_backlog or self._degraded:
+        if not self._spawn_backlog or self.telemetry["degraded"]:
             return
         if self._governor.in_crash_loop:
             self._enter_degraded()
@@ -579,13 +668,10 @@ class Coordinator:
 
     def _enter_degraded(self) -> None:
         """Crash loop: stop respawning, finish on the survivors."""
-        self._degraded = True
         self._spawn_backlog = 0
         self.telemetry["degraded"] = True
         self.telemetry["survivors"] = len(self._live)
-        obs.get_tracer().point(
-            "fleet_degraded", survivors=len(self._live)
-        )
+        obs.get_tracer().point("fleet_degraded", survivors=len(self._live))
         sys.stderr.write(
             "repro.scan.distributed: crash loop detected after "
             f"{self._governor.failures} consecutive spawn failures; "
@@ -620,32 +706,19 @@ class Coordinator:
 
     # -- event handling ------------------------------------------------
 
+    @property
+    def failures(self) -> int:
+        """Failures charged to the budget so far."""
+        return self.telemetry["failures"]
+
     def _fail(self, message: str) -> None:
-        self.failures += 1
-        self.telemetry["failures"] = self.failures
+        self.telemetry["failures"] += 1
         self._last_failure = message
         if self.failures > self._max_failures:
             raise ExecutorFailure(
                 f"distributed executor: too many worker failures "
                 f"({self.failures}); last: {message}"
                 + self._stderr_report()
-            )
-
-    def _needs_requeue(self, index: int, pending: deque) -> bool:
-        """Is nobody else (result, queue, live worker) covering ``index``?"""
-        if index in self._results or index in pending:
-            return False
-        return not any(w.assigned == index for w in self._live)
-
-    def _flush_worker_bytes(self, worker: _Worker) -> None:
-        """Fold this side's wire counters in as a worker detaches."""
-        registry = obs.get_registry()
-        if registry is not None:
-            registry.counter("dist.bytes_in").inc(
-                worker.stream.bytes_in
-            )
-            registry.counter("dist.bytes_out").inc(
-                worker.stream.bytes_out
             )
 
     def _absorb_stats(self, pid: int, stats) -> None:
@@ -664,20 +737,27 @@ class Coordinator:
             ):
                 registry.gauge(f"worker.{pid}.{key}").set(value)
 
-    def _drop_worker(self, worker: _Worker, pending: deque,
-                     reason: str) -> None:
-        """A worker died or misbehaved: re-queue its shard, count it."""
+    def _detach(self, worker: _Worker) -> None:
+        """Close a worker's connection; fold in its wire counters."""
         if worker in self._live:
             self._live.remove(worker)
         try:
             self._selector.unregister(worker.stream.sock)
         except (KeyError, ValueError):
             pass
-        self._flush_worker_bytes(worker)
+        registry = obs.get_registry()
+        if registry is not None:
+            registry.counter("dist.bytes_in").inc(worker.stream.bytes_in)
+            registry.counter("dist.bytes_out").inc(worker.stream.bytes_out)
         worker.stream.close()
+
+    def _drop_worker(self, worker: _Worker, reason: str) -> None:
+        """A worker died or misbehaved: re-queue its shard, count it."""
+        self._detach(worker)
+        lost = self._schedule.lose(worker)
         tracer = obs.get_tracer()
         tracer.point("worker_drop", pid=worker.pid, reason=reason)
-        if worker.fault_kind is not None and worker.assigned is not None:
+        if worker.fault_kind is not None and lost is not None:
             # Worker processes cannot write the coordinator's event
             # log; a drop whose in-flight dispatch had a fault armed is
             # the observable moment that fault fired.
@@ -708,69 +788,54 @@ class Coordinator:
                 proc.kill()
                 proc.wait()
         self._stderr_tail(worker.pid)
-        requeued = worker.assigned
-        worker.assigned = None
-        if requeued is not None and self._needs_requeue(requeued, pending):
-            # Front of the queue: the lost shard is the next dispatch,
-            # keeping the in-order release window as small as possible.
-            pending.appendleft(requeued)
         self._fail(
             f"worker pid {worker.pid} {reason}"
-            + (f" while draining queue slot {requeued}" if requeued
-               is not None else "")
+            + (f" while draining queue slot {lost}" if lost is not None
+               else "")
         )
-        # An already-idle survivor picks the re-queued shard up at once;
-        # a replacement is only spawned for work nobody can absorb.
-        for idle in list(self._live):
-            if not pending:
+        self._dispatch_idle()
+
+    def _dispatch_idle(self) -> None:
+        """Hand queued shards to idle workers; owe a spawn for the rest.
+
+        An already-idle survivor picks a re-queued shard up at once; a
+        replacement is only spawned for work nobody can absorb.
+        """
+        for worker in list(self._live):
+            if not self._schedule.pending:
                 break
-            self._dispatch(idle, pending, self._targets)
-        if pending:
+            self._dispatch(worker)
+        if self._schedule.pending:
             self._request_spawn()
 
-    def _dispatch(self, worker: _Worker, pending: deque, targets) -> None:
-        if worker.assigned is not None or not pending:
+    def _dispatch(self, worker: _Worker) -> None:
+        taken = self._schedule.take(worker, self._clock())
+        if taken is None:
             return
-        # Skip queue entries whose result already landed (a speculative
-        # copy that lost the race before ever being dispatched).
-        while pending and pending[0] in self._results:
-            pending.popleft()
-        if not pending:
-            return
-        index = pending.popleft()
-        shard_no = int(targets[index].shard)
-        attempt = self._attempts.get(index, 0)
+        index, attempt = taken
+        shard_no = int(self._targets[index].shard)
         message = {"type": "shard", "shard": shard_no, "index": index}
-        tracer = obs.get_tracer()
         spec = self.fault_plan.shard_fault(shard_no, attempt)
         if spec is not None:
             message["fault"] = {"kind": spec.kind, "delay": spec.delay}
-            self.telemetry["faults_armed"] += 1
-            tracer.point(
-                "fault_armed",
-                shard=shard_no,
-                attempt=attempt,
-                kind=spec.kind,
-            )
-        self._attempts[index] = attempt + 1
         try:
             worker.stream.send(message)
-            worker.assigned = index
-            worker.assigned_at = self._clock()
-            worker.fault_kind = spec.kind if spec is not None else None
-            tracer.point(
-                "shard_dispatch",
-                index=index,
-                shard=shard_no,
-                attempt=attempt,
-                pid=worker.pid,
-            )
         except OSError:
-            self._attempts[index] = attempt  # never actually dispatched
-            pending.appendleft(index)
-            self._drop_worker(worker, pending, "died at dispatch")
+            self._schedule.undo(worker)  # never actually dispatched
+            self._drop_worker(worker, "died at dispatch")
+            return
+        # Counted only once sent: an unsent fault is armed again on the
+        # shard's next dispatch, and must not be counted twice.
+        tracer = obs.get_tracer()
+        worker.fault_kind = spec.kind if spec is not None else None
+        if spec is not None:
+            self.telemetry["faults_armed"] += 1
+            tracer.point("fault_armed", shard=shard_no, attempt=attempt,
+                         kind=spec.kind)
+        tracer.point("shard_dispatch", index=index, shard=shard_no,
+                     attempt=attempt, pid=worker.pid)
 
-    def _accept(self, pending: deque, targets) -> None:
+    def _accept(self) -> None:
         sock, _ = self._listener.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Every read/write on a worker socket is bounded: a peer that
@@ -778,22 +843,15 @@ class Coordinator:
         # to drain the init payload) times out and is handled as a
         # failure instead of wedging the event loop past the watchdog.
         sock.settimeout(self.timeout)
-        self._handshake(FrameStream(sock), None, pending, targets)
+        self._handshake(FrameStream(sock), None)
 
-    def _handshake(self, stream: FrameStream, origin,
-                   pending: deque, targets) -> bool:
+    def _handshake(self, stream: FrameStream, origin) -> bool:
         """hello(/challenge/auth)/init with a fresh connection.
 
-        ``origin`` is ``None`` for accepted connections (spawned
-        workers — and strays), or the ``(host, port)`` address-book
-        entry for connections the coordinator dialed out.  Returns True
-        when the peer became a live fleet member.
-
-        Budget accounting draws the safety line documented up top: a
-        clean pre-hello EOF or an authentication failure is *never*
-        charged (the peer was never a fleet member), while a garbled
-        hello — a peer that sent bytes but not our protocol where a
-        worker was expected — still is.
+        ``origin`` is ``None`` for accepted connections (spawned workers
+        and strays), else the dialed ``(host, port)`` book entry.
+        Returns True when the peer became a live fleet member.  Budget
+        accounting draws the safety line documented up top.
         """
         label = (
             "worker" if origin is None
@@ -802,14 +860,8 @@ class Coordinator:
         try:
             hello = stream.recv()
         except ValueError as exc:
-            # Garbled hello: framing or JSON garbage from a peer that
-            # did talk.  The connecting peer's failure, not the
-            # coordinator's — drop it, keep the event loop, charge.
-            stream.close()
-            self._governor.record_failure()
-            self._fail(f"{label} connected without a valid hello ({exc})")
-            if pending:
-                self._request_spawn()
+            # Framing or JSON garbage from a peer that did talk.
+            self._garbled_hello(stream, label, f" ({exc})")
             return False
         except OSError:
             hello = None
@@ -824,18 +876,14 @@ class Coordinator:
             if origin is not None:
                 self._schedule_redial(origin)
             return False
-        if not isinstance(hello, dict) or hello.get("type") != "hello":
-            stream.close()
-            self._governor.record_failure()
-            self._fail(f"{label} connected without a valid hello")
-            if pending:
-                self._request_spawn()
+        pid = _hello_pid(hello)
+        if pid is None:
+            self._garbled_hello(stream, label)
             return False
-        pid = int(hello.get("pid", -1))
         if self.secret is not None and not self._authenticate(
             stream, hello
         ):
-            self._reject_unauthenticated(stream, pid, origin, pending)
+            self._reject_unauthenticated(stream, pid, origin)
             return False
         worker = _Worker(stream, pid, origin)
         if origin is None:
@@ -850,7 +898,7 @@ class Coordinator:
             self._fail(f"{label} pid {pid} died at init")
             if origin is not None:
                 self._schedule_redial(origin)
-            elif pending:
+            elif self._schedule.pending:
                 self._request_spawn()
             return False
         self._governor.record_success()
@@ -864,8 +912,19 @@ class Coordinator:
             self._remote_live.add(origin)
             self.telemetry["remote_connected"] += 1
         self._selector.register(stream.sock, selectors.EVENT_READ, worker)
-        self._dispatch(worker, pending, targets)
+        self._dispatch(worker)
         return True
+
+    def _garbled_hello(self, stream: FrameStream, label: str,
+                       detail: str = "") -> None:
+        """A peer that sent bytes, but not our hello, where a worker was
+        expected: its failure, not the coordinator's — drop it, keep the
+        event loop, charge the budget."""
+        stream.close()
+        self._governor.record_failure()
+        self._fail(f"{label} connected without a valid hello{detail}")
+        if self._schedule.pending:
+            self._request_spawn()
 
     def _authenticate(self, stream: FrameStream, hello: dict) -> bool:
         """The coordinator's half of the mutual challenge/response."""
@@ -893,17 +952,13 @@ class Coordinator:
         )
 
     def _reject_unauthenticated(self, stream: FrameStream, pid: int,
-                                origin, pending: deque) -> None:
+                                origin) -> None:
         """Drop a peer that failed (or walked out of) the auth exchange.
 
-        Never charges the failure budget or the respawn governor: an
-        impostor or misconfigured peer was never a fleet member, and
-        letting it burn the budget would hand any hostile network a
-        lever to abort healthy campaigns.  A spawned child that failed
-        auth (the ``auth_fail`` fault, or a secret mismatch) is reaped
-        and replaced; a dialed address-book entry is *not* redialed —
-        a wrong secret will not fix itself, and redialing it forever
-        would just spin the auth_rejects counter.
+        Never charged: an impostor was never a fleet member, and must
+        not get a lever to abort healthy campaigns.  A spawned child
+        that failed auth is reaped and replaced; a dialed book entry is
+        *not* redialed — a wrong secret will not fix itself.
         """
         stream.close()
         self.telemetry["auth_rejects"] += 1
@@ -926,7 +981,7 @@ class Coordinator:
                 proc.kill()
                 proc.wait()
             self._stderr_tail(pid)
-            if pending:
+            if self._schedule.pending:
                 self._request_spawn()
 
     # -- dialing the address book --------------------------------------
@@ -934,7 +989,7 @@ class Coordinator:
     def _schedule_redial(self, addr) -> None:
         self._remote_due[addr] = self._clock() + _REDIAL_INTERVAL
 
-    def _dial(self, addr, pending: deque, targets) -> bool:
+    def _dial(self, addr) -> bool:
         """One outbound connect to a pre-started --listen worker."""
         try:
             sock = socket.create_connection(addr, timeout=_DIAL_TIMEOUT)
@@ -945,9 +1000,9 @@ class Coordinator:
             return False
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.timeout)
-        return self._handshake(FrameStream(sock), addr, pending, targets)
+        return self._handshake(FrameStream(sock), addr)
 
-    def _pump_dials(self, pending: deque, targets) -> bool:
+    def _pump_dials(self) -> bool:
         """Dial due address-book entries — the mid-wave join path.
 
         Returns True when any dial produced a live fleet member (the
@@ -960,11 +1015,10 @@ class Coordinator:
             del self._remote_due[addr]
             if addr in self._remote_live:
                 continue
-            joined = self._dial(addr, pending, targets) or joined
+            joined = self._dial(addr) or joined
         return joined
 
-    def _on_readable(self, worker: _Worker, pending: deque, targets,
-                     results: dict) -> bool:
+    def _on_readable(self, worker: _Worker) -> bool:
         """Handle one frame from a worker; True when a result landed."""
         try:
             message = worker.stream.recv()
@@ -974,23 +1028,17 @@ class Coordinator:
             # (json.JSONDecodeError), and undecodable bytes
             # (UnicodeDecodeError).  One bad frame costs one worker,
             # never the run.
-            self._drop_worker(
-                worker, pending, f"sent an unreadable frame ({exc})"
-            )
+            self._drop_worker(worker, f"sent an unreadable frame ({exc})")
             return False
         if message is None:
-            if worker.assigned is None and not pending:
+            if (
+                self._schedule.holding(worker) is None
+                and not self._schedule.pending
+            ):
                 # Clean EOF from an idle worker during wind-down.
-                if worker in self._live:
-                    self._live.remove(worker)
-                try:
-                    self._selector.unregister(worker.stream.sock)
-                except (KeyError, ValueError):
-                    pass
-                self._flush_worker_bytes(worker)
-                worker.stream.close()
+                self._detach(worker)
                 return False
-            self._drop_worker(worker, pending, "hung up")
+            self._drop_worker(worker, "hung up")
             return False
         if isinstance(message, dict) and message.get("type") == "stats":
             # A worker's final session counters (normally sent in
@@ -1002,22 +1050,33 @@ class Coordinator:
                 message.get("type") if isinstance(message, dict)
                 else type(message).__name__
             )
+            self._drop_worker(worker, f"sent unexpected {kind!r}")
+            return False
+        try:
+            result = ScanResult(
+                probes_sent=int(message["probes_sent"]),
+                responses=int(message["responses"]),
+                blocked=int(message["blocked"]),
+                batches=int(message["batches"]),
+                protocol=message.get("protocol"),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # A result frame without its counters is as unreadable as
+            # a garbled one: drop the worker, re-queue its shard.
             self._drop_worker(
-                worker, pending, f"sent unexpected {kind!r}"
+                worker, f"sent an unreadable result frame ({exc!r})"
             )
             return False
-        index = worker.assigned
-        if index is None or index != message.get("index"):
-            # Validate *before* clearing the assignment: a stale or
-            # duplicate result frame must not erase the in-flight shard
-            # — _drop_worker re-queues whatever is still assigned.
-            self._drop_worker(
-                worker, pending, "sent a result for an unassigned shard"
-            )
+        index = message.get("index")
+        outcome = self._schedule.finish(worker, index, result)
+        if outcome == "stale":
+            # The schedule changed nothing: a stale or duplicate result
+            # frame must not erase the in-flight shard, which the drop
+            # re-queues.
+            self._drop_worker(worker, "sent a result for an unassigned shard")
             return False
-        worker.assigned = None
         worker.fault_kind = None
-        if index in results:
+        if outcome == "duplicate":
             # A speculative race this worker lost: the shard already
             # completed elsewhere.  Both results are byte-identical by
             # construction, so the duplicate is simply discarded and
@@ -1026,31 +1085,24 @@ class Coordinator:
             obs.get_tracer().point(
                 "duplicate_discarded", index=index, pid=worker.pid
             )
-            self._dispatch(worker, pending, targets)
+            self._dispatch(worker)
             return False
-        results[index] = ScanResult(
-            probes_sent=int(message["probes_sent"]),
-            responses=int(message["responses"]),
-            blocked=int(message["blocked"]),
-            batches=int(message["batches"]),
-            protocol=message.get("protocol"),
-        )
         seconds = message.get("seconds")
         obs.get_tracer().point(
             "shard_result",
             index=index,
             pid=worker.pid,
-            probes_sent=int(message["probes_sent"]),
+            probes_sent=result.probes_sent,
             seconds=seconds,
         )
         registry = obs.get_registry()
         if registry is not None and isinstance(seconds, (int, float)):
             registry.histogram("dist.shard_seconds").observe(seconds)
         self._absorb_stats(worker.pid, message.get("stats"))
-        self._dispatch(worker, pending, targets)
+        self._dispatch(worker)
         return True
 
-    def _reap_unconnected(self, pending: deque) -> None:
+    def _reap_unconnected(self) -> None:
         """Workers that died before saying hello never hit the selector."""
         for pid, proc in list(self._procs.items()):
             if pid not in self._connected and proc.poll() is not None:
@@ -1061,62 +1113,33 @@ class Coordinator:
                     f"worker pid {pid} exited with {proc.returncode} "
                     "before connecting"
                 )
-                if pending:
+                if self._schedule.pending:
                     self._request_spawn()
 
-    def _check_deadlines(self, pending: deque, targets) -> None:
+    def _check_deadlines(self) -> None:
         """Rescue shards held past their deadline by hung/slow workers."""
         deadline = self.shard_deadline
         if deadline is None:
             return
-        now = self._clock()
-        for worker in list(self._live):
-            index = worker.assigned
-            if index is None:
-                continue
-            action = deadline_action(
-                now, worker.assigned_at, deadline, _HARD_KILL_FACTOR
-            )
-            if action == "ok":
-                continue
+        tracer = obs.get_tracer()
+        for worker, index, held, action in self._schedule.overdue(
+            self._clock(), list(self._live)
+        ):
             if action == "kill":
-                # Far past the deadline the worker is presumed hung;
-                # reclaim its process (its shard re-queues if nobody
-                # else covered it).
+                # Presumed hung: reclaim the process; the schedule
+                # re-queues its shard if nobody else covers it.
                 self.telemetry["deadline_kills"] += 1
-                obs.get_tracer().point(
-                    "deadline_kill", pid=worker.pid, index=index
-                )
+                tracer.point("deadline_kill", pid=worker.pid, index=index)
                 self._drop_worker(
-                    worker, pending,
-                    f"held a shard {now - worker.assigned_at:.1f}s "
-                    f"(deadline {deadline:.1f}s)",
+                    worker,
+                    f"held a shard {held:.1f}s (deadline {deadline:.1f}s)",
                 )
                 continue
-            if index in self._results or index in pending:
-                continue
-            live_copies = sum(
-                1 for w in self._live if w.assigned == index
-            )
-            if live_copies >= _MAX_SPECULATION:
-                continue
-            # Speculative re-dispatch: race a second attempt on an idle
-            # worker.  First completed result wins; the loser's frame
-            # is discarded in _on_readable.  In-order release and every
-            # merged byte are unchanged — shard results are pure.
-            pending.appendleft(index)
+            # Speculation: the schedule queued a racing copy; shard
+            # results are pure, so whichever finishes first is exact.
             self.telemetry["speculative_requeues"] += 1
-            obs.get_tracer().point(
-                "speculative_redispatch", index=index
-            )
-            for idle in list(self._live):
-                if not pending:
-                    break
-                self._dispatch(idle, pending, targets)
-            if pending and not any(
-                w.assigned is None for w in self._live
-            ):
-                self._request_spawn()
+            tracer.point("speculative_redispatch", index=index)
+            self._dispatch_idle()
 
     # -- the drive loop ------------------------------------------------
 
@@ -1127,63 +1150,45 @@ class Coordinator:
             return
         geometry = targets[0]
         for t in targets[1:]:
-            if (
-                t.seed != geometry.seed
-                or t.shards != geometry.shards
-                or not np.array_equal(t.starts, geometry.starts)
-                or not np.array_equal(t.ends, geometry.ends)
-                or t.samples != geometry.samples
-                or (t.hitlist is None) != (geometry.hitlist is None)
-                or (
-                    t.hitlist is not None
-                    and not np.array_equal(t.hitlist, geometry.hitlist)
-                )
+            if (t.seed, t.shards, t.samples) != (
+                geometry.seed, geometry.shards, geometry.samples
+            ) or not all(
+                # array_equal also tells None (v4 hitlist) from an array
+                np.array_equal(getattr(t, key), getattr(geometry, key))
+                for key in ("starts", "ends", "hitlist")
             ):
                 raise ValueError(
                     "distributed executor requires shards of one walk "
                     "(shared starts/ends/seed/shards geometry)"
                 )
         values, batch_size, block_state, protocol = self.worker_args
+        block_starts, block_ends = block_state or (None, None)
         self._init_message = {
             "type": "init",
             "protocol": protocol,
             "batch_size": int(batch_size),
             "responsive": encode_array(values),
-            "block_starts": (
-                encode_array(block_state[0]) if block_state else None
-            ),
-            "block_ends": (
-                encode_array(block_state[1]) if block_state else None
-            ),
+            "block_starts": _maybe(encode_array, block_starts),
+            "block_ends": _maybe(encode_array, block_ends),
             "starts": encode_array(geometry.starts),
             "ends": encode_array(geometry.ends),
             "seed": int(geometry.seed),
             "shards": int(geometry.shards),
-            # v6-only seeding; absent/None for v4 so old workers that
-            # ignore unknown keys keep interoperating.
-            "hitlist": (
-                encode_array(geometry.hitlist)
-                if geometry.hitlist is not None
-                else None
-            ),
-            "samples": (
-                int(geometry.samples)
-                if geometry.samples is not None
-                else None
-            ),
+            # v6-only seeding; None for v4, so old workers that ignore
+            # unknown keys keep interoperating.
+            "hitlist": _maybe(encode_array, geometry.hitlist),
+            "samples": _maybe(int, geometry.samples),
         }
         self._max_failures = max(8, 2 * len(targets))
-        pending = deque(range(len(targets)))
-        results = self._results = {}
-        next_emit = 0
+        schedule = self._schedule = ShardSchedule(
+            len(targets), self.shard_deadline
+        )
 
         self._listener = socket.socket()
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(64)
         self._selector = selectors.DefaultSelector()
-        self._selector.register(
-            self._listener, selectors.EVENT_READ, None
-        )
+        self._selector.register(self._listener, selectors.EVENT_READ, None)
         book = self.address_book
         n_workers = self.workers or min(
             len(targets), (os.cpu_count() or 1) + len(book)
@@ -1198,30 +1203,27 @@ class Coordinator:
         self._remote_live = set()
         for _ in range(max(0, fleet - len(book))):
             self._spawn(first_generation=True)
-        self._pump_dials(pending, targets)
+        self._pump_dials()
 
         last_progress = self._clock()
         try:
-            while next_emit < len(targets):
+            while not schedule.done:
                 for key, _ in self._selector.select(timeout=0.2):
                     if key.data is None:
-                        self._accept(pending, targets)
+                        self._accept()
                         last_progress = self._clock()
-                    elif self._on_readable(
-                        key.data, pending, targets, results
-                    ):
+                    elif self._on_readable(key.data):
                         last_progress = self._clock()
-                self._reap_unconnected(pending)
-                self._check_deadlines(pending, targets)
+                self._reap_unconnected()
+                self._check_deadlines()
                 self._pump_spawns()
-                if self._pump_dials(pending, targets):
+                if self._pump_dials():
                     last_progress = self._clock()
-                while next_emit in results:
-                    yield results.pop(next_emit)
-                    next_emit += 1
+                for result in schedule.release():
+                    yield result
                     last_progress = self._clock()
                 if (
-                    next_emit < len(targets)
+                    not schedule.done
                     and not self._live
                     and not self._procs
                     and not self._spawn_backlog
@@ -1237,7 +1239,7 @@ class Coordinator:
                         " — no live workers remain and respawning "
                         + (
                             "is halted by the crash-loop detector"
-                            if self._degraded
+                            if self.telemetry["degraded"]
                             else "produced none"
                         )
                         + f" ({self.failures} failures; "
@@ -1248,7 +1250,7 @@ class Coordinator:
                     raise ExecutorFailure(
                         "distributed executor: no worker progress for "
                         f"{self.timeout:.0f}s "
-                        f"(shard {next_emit}/{len(targets)})"
+                        f"(shard {schedule.released}/{schedule.total})"
                     )
         finally:
             if self.telemetry["degraded"]:
@@ -1426,11 +1428,7 @@ def _session(
                 decode_array(message["ends"]),
                 message["seed"],
                 message["shards"],
-                (
-                    decode_array(message["hitlist"])
-                    if message.get("hitlist") is not None
-                    else None
-                ),
+                _maybe(decode_array, message.get("hitlist")),
                 message.get("samples"),
             )
             # Handshake done: a listen worker's handshake timeout no

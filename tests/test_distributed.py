@@ -13,7 +13,6 @@ import dataclasses
 import json
 import selectors
 import socket
-from collections import deque
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from repro.scan.distributed import (
     MAX_FRAME,
     Coordinator,
     FrameStream,
+    ShardSchedule,
     _HEADER,
     _Worker,
     decode_array,
@@ -221,23 +221,24 @@ class TestFrameStream:
             (responsive, 1 << 11, None, None), secret=None
         )
         coordinator._selector = selectors.DefaultSelector()
+        coordinator._schedule = ShardSchedule(2)
         a, b = socket.socketpair()
         try:
             worker = _Worker(FrameStream(a), pid=-99)
-            worker.assigned = 0
+            assert coordinator._schedule.take(worker, 0.0) == (0, 0)
             coordinator._live.append(worker)
             coordinator._selector.register(a, selectors.EVENT_READ, worker)
-            pending = deque([1])
             payload = json.dumps({"type": "result", "index": 0}).encode()
             b.sendall(
                 _HEADER.pack(MAX_FRAME + 1)
                 + _HEADER.pack(len(payload))
                 + payload
             )
-            landed = coordinator._on_readable(worker, pending, [], {})
+            landed = coordinator._on_readable(worker)
             assert landed is False
             assert worker not in coordinator._live
-            assert list(pending) == [0, 1]  # lost shard re-queued first
+            # The lost shard is re-queued first.
+            assert coordinator._schedule.pending == (0, 1)
             assert coordinator.failures == 1
         finally:
             coordinator._selector.close()
@@ -267,7 +268,7 @@ def test_stray_connect_then_close_is_not_charged():
     a, b = socket.socketpair()
     b.close()  # the stray peer vanishes before saying hello
     try:
-        joined = coordinator._handshake(FrameStream(a), None, deque(), [])
+        joined = coordinator._handshake(FrameStream(a), None)
         assert joined is False
         assert coordinator.failures == 0
         assert coordinator._governor.failures == 0
@@ -283,13 +284,104 @@ def test_garbled_hello_still_charges_budget():
     try:
         b.sendall(_HEADER.pack(4) + b"ha!!")  # framed, but not JSON
         b.close()
-        joined = coordinator._handshake(FrameStream(a), None, deque(), [])
+        joined = coordinator._handshake(FrameStream(a), None)
         assert joined is False
         assert coordinator.failures == 1
         assert coordinator._governor.failures == 1
         assert coordinator.telemetry["stray_disconnects"] == 0
     finally:
         coordinator._selector.close()
+
+
+def _frame(message) -> bytes:
+    payload = json.dumps(message).encode()
+    return _HEADER.pack(len(payload)) + payload
+
+
+@pytest.mark.parametrize(
+    "pid", ["x", None, [1], {"n": 1}], ids=["text", "null", "list", "dict"]
+)
+def test_hello_with_garbled_pid_charges_budget_not_the_run(pid):
+    # Regression: int(hello["pid"]) used to raise ValueError/TypeError
+    # out of Coordinator.run() — not an ExecutorFailure, so no wave
+    # retry caught it and one stray peer aborted the campaign.
+    spec, responsive = _world()
+    coordinator = _bare_coordinator(responsive)
+    a, b = socket.socketpair()
+    try:
+        b.sendall(_frame({"type": "hello", "pid": pid}))
+        b.close()
+        joined = coordinator._handshake(FrameStream(a), None)
+        assert joined is False
+        assert coordinator.failures == 1
+        assert coordinator._governor.failures == 1
+        assert coordinator.telemetry["stray_disconnects"] == 0
+    finally:
+        coordinator._selector.close()
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        {"type": "result", "index": 0},
+        {"type": "result", "index": 0, "probes_sent": 5,
+         "responses": 1, "blocked": 0},
+        {"type": "result", "index": 0, "probes_sent": "x",
+         "responses": 1, "blocked": 0, "batches": 1},
+        {"type": "result", "index": 0, "probes_sent": None,
+         "responses": 1, "blocked": 0, "batches": 1},
+    ],
+    ids=["no-counters", "no-batches", "text-counter", "null-counter"],
+)
+def test_result_frame_without_counters_drops_only_the_worker(result):
+    # Regression: a result frame missing a counter raised KeyError out
+    # of Coordinator.run().  It is an unreadable frame: drop the worker,
+    # re-queue its shard, charge one failure.
+    spec, responsive = _world()
+    coordinator = _bare_coordinator(responsive)
+    coordinator._schedule = ShardSchedule(2)
+    a, b = socket.socketpair()
+    try:
+        worker = _Worker(FrameStream(a), pid=-99)
+        coordinator._schedule.take(worker, 0.0)
+        coordinator._live.append(worker)
+        coordinator._selector.register(a, selectors.EVENT_READ, worker)
+        b.sendall(_frame(result))
+        assert coordinator._on_readable(worker) is False
+        assert worker not in coordinator._live
+        assert coordinator._schedule.pending == (0, 1)
+        assert coordinator.failures == 1
+    finally:
+        coordinator._selector.close()
+        b.close()
+
+
+def test_fault_is_counted_only_once_sent():
+    # A dispatch whose send fails is rolled back, and the same fault is
+    # armed again on the next dispatch: counting it before the send
+    # counted one delivered fault twice.
+    spec, responsive = _world()
+    coordinator = Coordinator(
+        (responsive, 1 << 11, None, None), secret=None, fault_plan="crash@0"
+    )
+    coordinator._selector = selectors.DefaultSelector()
+    coordinator._targets = shard_targets(spec, shards=1, seed=0)
+    coordinator._schedule = ShardSchedule(1)
+    a, b = socket.socketpair()
+    a.close()
+    try:
+        worker = _Worker(FrameStream(a), pid=-99)
+        coordinator._live.append(worker)
+        coordinator._dispatch(worker)
+        assert coordinator.telemetry["faults_armed"] == 0
+        assert worker not in coordinator._live
+        assert coordinator.failures == 1
+        # Rolled back: the shard is queued again, on its first attempt.
+        assert coordinator._schedule.pending == (0,)
+        assert coordinator._schedule.take("next", 0.0) == (0, 0)
+    finally:
+        coordinator._selector.close()
+        b.close()
 
 
 def test_stray_peers_mid_run_do_not_perturb_results():
